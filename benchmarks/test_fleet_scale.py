@@ -1,8 +1,8 @@
 """Fleet-scale store & queue I/O: batched hot paths vs per-row calls.
 
-Writes the committed ``BENCH_fleet.json``: throughput of the four
-persistence hot paths at 10^4–10^5 synthetic tasks (``FLEET_SCALE_N``,
-default 10^4), each against its honest per-row baseline —
+Measures the throughput of the four persistence hot paths at
+10^4–10^5 synthetic tasks (``FLEET_SCALE_N``, default 10^4), each
+against its honest per-row baseline —
 
 * **enqueue** — one batched :meth:`CampaignQueue.enqueue` vs one
   enqueue call per config (the pre-batching usage pattern: every call
@@ -20,7 +20,10 @@ The synthetic configs are duck-typed stand-ins (hash, dict payload and
 the lockstep-group fields) so the measurement isolates SQLite I/O from
 simulation and hashing cost.  Per-row baselines are sampled at up to
 ``_BASELINE_ROWS`` rows and compared by rows/s, which keeps the
-benchmark inside tier-1 runtime at any N.
+benchmark inside tier-1 runtime at any N.  With
+``FLEET_SCALE_JSON=<path>`` in the environment the results are written
+as a JSON artifact (CI points it at the committed ``BENCH_fleet.json``
+and uploads it).
 
 Per-row baselines run in the *seed* journal configuration
 (rollback journal, ``synchronous=FULL``) — the before state this PR
@@ -42,8 +45,6 @@ from repro.campaign.store import ResultStore
 from repro.metrics.report import RunReport
 
 from conftest import emit
-
-_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 _N = int(os.environ.get("FLEET_SCALE_N", "10000"))
 #: Cap on the per-row baseline sample: big enough for a stable rate,
@@ -300,7 +301,10 @@ def test_fleet_scale_artifact(tmp_path):
         "journal_mode": "wal",
         **{key: _round_rates(row) for key, row in results.items()},
     }
-    _ARTIFACT.write_text(json.dumps(artifact, indent=2, sort_keys=True)
+    artifact_path = os.environ.get("FLEET_SCALE_JSON")
+    if artifact_path:
+        with open(artifact_path, "w") as handle:
+            handle.write(json.dumps(artifact, indent=2, sort_keys=True)
                          + "\n")
 
     lines = [f"fleet scale @ {_N} tasks (per-row baselines sampled at "
@@ -317,7 +321,8 @@ def test_fleet_scale_artifact(tmp_path):
     lines.append(f"  drain    {drain['tasks_per_s']:>10.0f} tasks/s "
                  f"through {drain['workers']} workers "
                  f"(lease limit {drain['lease_limit']})")
-    lines.append(f"artifact written to {_ARTIFACT.name}")
+    if artifact_path:
+        lines.append(f"artifact written to {artifact_path}")
     emit("\n".join(lines))
 
     # Conservative floors (measured headroom is far larger, see the

@@ -7,11 +7,19 @@ settles the energy integral at the cached power level, then updates the
 cached level.  The thermal integrator drains interval-averaged power from
 this accumulator every sensor period, so no power transient is lost no
 matter how it interleaves with the 10 ms thermal ticks.
+
+Block power is ``dynamic + leakage * scale``, bitwise equal to
+:meth:`~repro.platform.power.PowerModel.power` (ungated the scale is
+1.0; gated the dynamic part is 0.0 and the scale the block's
+``gated_leak_fraction``).  Dynamic part and scale are cached per tile
+state for the whole run; leakage is refreshed once per temperature
+update.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import math
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +27,14 @@ from repro.platform.bus import SharedBus
 from repro.platform.components import BlockKind, HardwareBlock
 from repro.platform.floorplan import Floorplan
 from repro.platform.frequency import OperatingPoint, OperatingPointTable
+
+#: Activity factor ``(idle, busy)`` of a tile block, by kind.
+_TILE_ACTIVITY = {
+    BlockKind.CORE: (0.0, 1.0),
+    BlockKind.ICACHE: (0.0, 1.0),
+    BlockKind.DCACHE: (0.0, 1.0),
+    BlockKind.PRIVATE_MEM: (0.05, 0.4),
+}
 
 
 class Tile:
@@ -93,16 +109,27 @@ class Chip:
 
         n = len(self.blocks)
         self.temps_c = np.full(n, self.ambient_c, dtype=float)
-        self._power_w = np.zeros(n, dtype=float)
         self._energy_j = np.zeros(n, dtype=float)
         self._cumulative_j = np.zeros(n, dtype=float)
         self._last_settle = self.clock()
         self._drain_from = self.clock()
-        self._tile_block_idx = [
-            np.array([self._block_index[b.name] for b in tile.blocks])
-            for tile in self.tiles]
-        self._tile_power_cache: List[Dict] = [{} for _ in self.tiles]
-        self._recompute_all_powers()
+        # Tile k owns a contiguous run of the block vector.
+        self._tile_slices: List[slice] = []
+        start = 0
+        for tile in self.tiles:
+            self._tile_slices.append(slice(start, start + len(tile.blocks)))
+            start += len(tile.blocks)
+        params = [b.power_model.params for b in self.blocks]
+        self._leak_ref = np.array([p.leak_ref for p in params])
+        self._leak_alpha = np.array([p.leak_alpha for p in params])
+        self._leak_t_ref = np.array([p.t_ref_c for p in params])
+        # Per tile: (opp, active, gated) -> (dynamic W, leakage scale).
+        self._tile_states: List[Dict[tuple, Tuple]] = [{} for _ in self.tiles]
+        self._dyn_w = np.zeros(n, dtype=float)
+        self._leak_scale = np.ones(n, dtype=float)
+        self._refresh_leakage()
+        for tile_index in range(len(self.tiles)):
+            self._apply_tile_state(tile_index)
 
     # ------------------------------------------------------------------
     # topology queries
@@ -134,7 +161,7 @@ class Chip:
             return
         self.settle()
         tile.opp = opp
-        self._recompute_tile_powers(tile)
+        self._apply_tile_state(tile_index)
 
     def set_tile_active(self, tile_index: int, active: bool) -> None:
         tile = self.tiles[tile_index]
@@ -142,7 +169,7 @@ class Chip:
             return
         self.settle()
         tile.active = active
-        self._recompute_tile_powers(tile)
+        self._apply_tile_state(tile_index)
 
     def set_tile_gated(self, tile_index: int, gated: bool) -> None:
         tile = self.tiles[tile_index]
@@ -150,7 +177,7 @@ class Chip:
             return
         self.settle()
         tile.gated = gated
-        self._recompute_tile_powers(tile)
+        self._apply_tile_state(tile_index)
 
     def update_temperatures(self, temps_c: np.ndarray) -> None:
         """Feed back block temperatures (leakage depends on them)."""
@@ -159,9 +186,7 @@ class Chip:
                 f"expected {self.n_blocks} temperatures, got {len(temps_c)}")
         self.settle()
         self.temps_c = np.asarray(temps_c, dtype=float).copy()
-        for cache in self._tile_power_cache:
-            cache.clear()           # leakage depends on temperature
-        self._recompute_all_powers()
+        self._refresh_leakage()
 
     # ------------------------------------------------------------------
     # power / energy accounting
@@ -179,10 +204,6 @@ class Chip:
     def current_power_w(self) -> np.ndarray:
         """Instantaneous per-block power (cached levels)."""
         return self._power_w.copy()
-
-    def core_temps_c(self) -> np.ndarray:
-        """Current core temperatures in tile order."""
-        return self.temps_c[self.core_block_indices()].copy()
 
     def drain_average_power(self) -> np.ndarray:
         """Per-block power averaged since the previous drain.
@@ -219,55 +240,51 @@ class Chip:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _block_activity(self, block: HardwareBlock, tile: Optional[Tile]) -> float:
-        """Activity factor for a block given its owning tile's state."""
-        if tile is None:
-            # Shared memory: busy with queue traffic plus migrations.
-            base = self.bus.background_load
-            return min(1.0, base + (0.5 if self.bus.busy else 0.0))
-        if block.kind == BlockKind.CORE:
-            return 1.0 if tile.active else 0.0
-        if block.kind in (BlockKind.ICACHE, BlockKind.DCACHE):
-            return 1.0 if tile.active else 0.0
-        if block.kind == BlockKind.PRIVATE_MEM:
-            return 0.4 if tile.active else 0.05
-        return 0.0
-
-    def _block_power(self, block: HardwareBlock, tile: Optional[Tile]) -> float:
-        idx = self._block_index[block.name]
-        temp = float(self.temps_c[idx])
-        if tile is None:
-            # Shared blocks run at a fixed bus clock, modelled at f_ref.
-            return block.power_model.power(
-                block.power_model.params.f_ref_hz,
-                block.power_model.params.v_ref,
-                self._block_activity(block, None), temp, gated=False)
-        return block.power_model.power(
-            tile.opp.frequency_hz, tile.opp.voltage,
-            self._block_activity(block, tile), temp, gated=tile.gated)
-
-    def _recompute_tile_powers(self, tile: Tile) -> None:
-        # Between temperature updates a tile's block powers depend only
-        # on (opp, active, gated), and the scheduler toggles ``active``
-        # thousands of times per 10 ms sensor period — memoizing the
-        # power vector per state turns the dominant profile entry into
-        # a dict hit.  The cached floats are the exact values a fresh
-        # computation would produce, so results stay bit-identical.
-        cache = self._tile_power_cache[tile.index]
+    def _apply_tile_state(self, tile_index: int) -> None:
+        """Switch a tile's blocks to the cached vectors of its state."""
+        tile = self.tiles[tile_index]
+        states = self._tile_states[tile_index]
         key = (tile.opp, tile.active, tile.gated)
-        powers = cache.get(key)
-        if powers is None:
-            powers = np.array([self._block_power(block, tile)
-                               for block in tile.blocks])
-            cache[key] = powers
-        self._power_w[self._tile_block_idx[tile.index]] = powers
+        if key not in states:
+            states[key] = self._tile_state_power(tile)
+        dyn, scale = states[key]
+        span = self._tile_slices[tile_index]
+        self._dyn_w[span] = dyn
+        self._leak_scale[span] = scale
+        self._power_w = self._dyn_w + self._leak_w * self._leak_scale
 
-    def _recompute_shared_powers(self) -> None:
-        for block in self.shared_blocks:
-            idx = self._block_index[block.name]
-            self._power_w[idx] = self._block_power(block, None)
+    @staticmethod
+    def _tile_state_power(tile: Tile) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dynamic W, leakage scale)`` of a tile's blocks in its state."""
+        blocks = tile.blocks
+        if tile.gated:
+            # Clock and supply cut: only the residual leakage remains.
+            return (np.zeros(len(blocks)),
+                    np.array([b.power_model.params.gated_leak_fraction
+                              for b in blocks]))
+        opp = tile.opp
+        dyn = [b.power_model.dynamic_power(
+            opp.frequency_hz, opp.voltage,
+            _TILE_ACTIVITY.get(b.kind, (0.0, 0.0))[bool(tile.active)])
+            for b in blocks]
+        return np.array(dyn), np.ones(len(blocks))
 
-    def _recompute_all_powers(self) -> None:
-        for tile in self.tiles:
-            self._recompute_tile_powers(tile)
-        self._recompute_shared_powers()
+    def _refresh_leakage(self) -> None:
+        """Re-evaluate leakage at ``temps_c``, then every block's power.
+
+        Keeps one scalar ``math.exp`` per block: on SIMD builds ``np.exp``
+        differs from libm in the last ulp for some inputs.
+        """
+        exponent = self._leak_alpha * (self.temps_c - self._leak_t_ref)
+        self._leak_w = self._leak_ref * np.array(
+            [math.exp(x) for x in exponent.tolist()])
+        # Shared memory: busy with queue traffic plus migrations,
+        # clocked at f_ref; its bus activity is sampled here.
+        activity = min(1.0, self.bus.background_load
+                       + (0.5 if self.bus.busy else 0.0))
+        first = self.n_blocks - len(self.shared_blocks)
+        for idx, block in enumerate(self.shared_blocks, first):
+            model = block.power_model
+            self._dyn_w[idx] = model.dynamic_power(
+                model.params.f_ref_hz, model.params.v_ref, activity)
+        self._power_w = self._dyn_w + self._leak_w * self._leak_scale

@@ -11,7 +11,7 @@ narrative experiment, and were used to pick the package constants in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -110,21 +110,3 @@ def heating_rate_c_per_s(network: RCNetwork, block_name: str,
     deriv = network.derivative(network.initial_temperatures(), power)
     return float(deriv[network.index(block_name)])
 
-
-def gradient_series(network: RCNetwork, powers: List[np.ndarray],
-                    dt: float, core_names: Sequence[str]) -> List[float]:
-    """Max core-to-core spread over time for a piecewise power schedule.
-
-    ``powers`` holds one block-power vector per ``dt`` interval; returns
-    the spread among ``core_names`` after each interval.  Used by the
-    ablation benches to study how fast migration flattens the gradient.
-    """
-    integ = ExactIntegrator(network)
-    temps = network.initial_temperatures()
-    indices = [network.index(n) for n in core_names]
-    spreads = []
-    for p in powers:
-        temps = integ.advance(temps, p, dt)
-        core_t = temps[indices]
-        spreads.append(float(core_t.max() - core_t.min()))
-    return spreads

@@ -10,7 +10,7 @@ interface (``advance(temps, block_power, dt)`` +
   ``T(t+h) = T_ss + expm(-C^-1 K h) (T(t) - T_ss)`` with ``T_ss`` the
   steady state under the interval-average power.  The matrix
   exponential is precomputed per step size, so a step costs one
-  pre-factored solve and one mat-vec.
+  pre-factored LAPACK ``getrs`` solve and one mat-vec.
 * :class:`EulerIntegrator` (registered as ``euler``) — plain forward
   Euler with automatic sub-stepping below the stability bound; exists
   to cross-validate the exact integrators in tests and for users who
@@ -29,19 +29,11 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import expm, lu_factor
+from scipy.linalg.lapack import dgetrs
 
-from repro.thermal.cache import clear_artifact_cache, shared_artifacts
+from repro.thermal.cache import shared_artifacts
 from repro.thermal.rc_network import RCNetwork
-
-
-def clear_propagator_cache() -> None:
-    """Drop the process-wide solver artifact cache (mainly for tests).
-
-    Kept under its historical name; the cache now holds every solver's
-    per-network artifacts, not just the dense propagators.
-    """
-    clear_artifact_cache()
 
 
 class ExactIntegrator:
@@ -52,7 +44,7 @@ class ExactIntegrator:
 
     def __init__(self, network: RCNetwork):
         self.network = network
-        self._lu = lu_factor(network.conductance)
+        self._lu, self._piv = lu_factor(network.conductance)
         self._propagators: Dict[float, np.ndarray] = {}
         # -C^-1 K, the state matrix of dT/dt = A T + C^-1 (P + b).
         self._state_matrix = -(network.conductance
@@ -76,8 +68,15 @@ class ExactIntegrator:
         return prop
 
     def steady_state(self, block_power: np.ndarray) -> np.ndarray:
-        """Equilibrium for constant power, via the pre-factored solve."""
-        return lu_solve(self._lu, self.network.forcing_vector(block_power))
+        """Equilibrium for constant power: LAPACK ``getrs`` on the LU."""
+        # lu_solve's two checks, without its batch-dispatch overhead.
+        rhs = self.network.forcing_vector(block_power)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        temps, info = dgetrs(self._lu, self._piv, rhs, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return temps
 
     def advance(self, temps: np.ndarray, block_power: np.ndarray,
                 dt: float) -> np.ndarray:

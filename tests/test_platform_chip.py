@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.platform.presets import CONF1_STREAMING, build_chip
+from repro.platform.components import BlockKind
+from repro.platform.presets import CONF1_STREAMING, CONF2_ARM11, build_chip
 from repro.sim.kernel import Simulator
 
 
@@ -144,3 +146,105 @@ class TestValidation:
         chip = build_chip(lambda: sim.now, 2, CONF1_STREAMING, sim=sim)
         assert chip.n_tiles == 2
         assert chip.n_blocks == 9
+
+
+# ----------------------------------------------------------------------
+# bitwise oracle: the per-block scalar power formula
+# ----------------------------------------------------------------------
+def reference_activity(block, tile):
+    """Activity factor of a tile block: the scalar per-block formula."""
+    if block.kind in (BlockKind.CORE, BlockKind.ICACHE, BlockKind.DCACHE):
+        return 1.0 if tile.active else 0.0
+    if block.kind == BlockKind.PRIVATE_MEM:
+        return 0.4 if tile.active else 0.05
+    return 0.0
+
+
+def reference_power(chip, bus_busy_at_tick):
+    """Every block through ``PowerModel.power``, one scalar call each.
+
+    The shared memory's bus activity is the one sampled at the last
+    temperature update (or construction), as the chip samples it.
+    """
+    out = []
+    for tile in chip.tiles:
+        for block in tile.blocks:
+            temp = float(chip.temps_c[chip.block_index(block.name)])
+            out.append(block.power_model.power(
+                tile.opp.frequency_hz, tile.opp.voltage,
+                reference_activity(block, tile), temp, gated=tile.gated))
+    # Shared memory: busy with queue traffic plus migrations.
+    activity = min(1.0, chip.bus.background_load
+                   + (0.5 if bus_busy_at_tick else 0.0))
+    for block in chip.shared_blocks:
+        params = block.power_model.params
+        temp = float(chip.temps_c[chip.block_index(block.name)])
+        out.append(block.power_model.power(
+            params.f_ref_hz, params.v_ref, activity, temp, gated=False))
+    return out
+
+
+@st.composite
+def chip_scenarios(draw):
+    """A platform, a tile count and a random sequence of chip operations."""
+    config = draw(st.sampled_from([CONF1_STREAMING, CONF2_ARM11]))
+    n_tiles = draw(st.sampled_from([3, 6]))
+    n_blocks = 4 * n_tiles + 1
+    tile = st.integers(0, n_tiles - 1)
+    op = st.one_of(
+        st.tuples(st.just("opp"), tile, st.integers(0, config.opp_levels - 1)),
+        st.tuples(st.just("active"), tile, st.booleans()),
+        st.tuples(st.just("gated"), tile, st.booleans()),
+        st.tuples(st.just("temps"),
+                  st.lists(st.floats(30.0, 130.0), min_size=n_blocks,
+                           max_size=n_blocks)),
+        st.tuples(st.just("transfer"), st.floats(64e3, 2e6)),
+        st.tuples(st.just("wait"), st.floats(1e-4, 0.02)),
+    )
+    return config, n_tiles, draw(st.lists(op, min_size=1, max_size=40))
+
+
+class TestPowerOracle:
+    """``current_power_w`` equals the scalar formula with ``==``.
+
+    Exact equality, not approx: a last-ulp difference in leakage (say,
+    a SIMD ``np.exp``) moves the recorded temperatures of every run.
+    """
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(chip_scenarios())
+    def test_every_op_matches_scalar_reference(self, scenario):
+        config, n_tiles, ops = scenario
+        sim = Simulator()
+        chip = build_chip(lambda: sim.now, n_tiles, config, sim=sim)
+        busy_at_tick = chip.bus.busy
+        assert chip.current_power_w().tolist() == \
+            reference_power(chip, busy_at_tick)
+        for op in ops:
+            kind = op[0]
+            if kind == "opp":
+                points = chip.tile(op[1]).opp_table.points
+                chip.set_tile_opp(op[1], points[op[2]])
+            elif kind == "active":
+                chip.set_tile_active(op[1], op[2])
+            elif kind == "gated":
+                chip.set_tile_gated(op[1], op[2])
+            elif kind == "temps":
+                chip.update_temperatures(np.array(op[1]))
+                busy_at_tick = chip.bus.busy
+            elif kind == "transfer":
+                chip.bus.start_transfer(op[1], lambda _transfer: None)
+            else:
+                sim.run_until(sim.now + op[1])
+            assert chip.current_power_w().tolist() == \
+                reference_power(chip, busy_at_tick), op
+
+    def test_bus_activity_is_sampled_at_the_temperature_update(self, sim,
+                                                               chip):
+        i = chip.block_index("shared_mem")
+        quiet = chip.current_power_w()[i]
+        chip.bus.start_transfer(1e6, lambda _transfer: None)
+        assert chip.current_power_w()[i] == quiet
+        chip.update_temperatures(chip.temps_c)
+        assert chip.current_power_w()[i] > quiet

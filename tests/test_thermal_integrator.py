@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-from repro.platform.presets import build_floorplan
+from repro.platform.presets import build_floorplan, build_grid_floorplan
 from repro.thermal.integrator import (
     EulerIntegrator,
     ExactIntegrator,
@@ -80,6 +81,46 @@ class TestExactIntegrator:
                            network.steady_state(power), atol=1e-9)
 
 
+#: The paper's two configurations plus a 2-D grid platform.
+SOLVE_CASES = [
+    pytest.param(build_floorplan, 3, MOBILE_EMBEDDED, id="conf1-mobile"),
+    pytest.param(build_floorplan, 3, HIGH_PERFORMANCE, id="conf2-highperf"),
+    pytest.param(build_grid_floorplan, 9, MOBILE_EMBEDDED,
+                 id="grid3x3-mobile"),
+]
+
+
+class TestDenseExactSolve:
+    """The direct LAPACK solve is ``scipy.linalg.lu_solve``, bit for bit."""
+
+    @pytest.mark.parametrize("build, n_tiles, package", SOLVE_CASES)
+    def test_bitwise_equal_to_lu_solve(self, build, n_tiles, package):
+        fp = build(n_tiles)
+        net = build_network(fp, list(fp.names), package, ambient_c=35.0)
+        integ = ExactIntegrator(net)
+        lu = lu_factor(net.conductance)
+        prop = integ._propagator(0.01)
+        rng = np.random.default_rng(n_tiles)
+        for _ in range(200):
+            power = rng.uniform(0.0, 0.6, net.n_blocks)
+            temps = rng.uniform(30.0, 130.0, net.n_nodes)
+            t_ss = lu_solve(lu, net.forcing_vector(power))
+            assert integ.steady_state(power).tobytes() == t_ss.tobytes()
+            expected = t_ss + prop @ (temps - t_ss)
+            assert (integ.advance(temps, power, 0.01).tobytes()
+                    == expected.tobytes())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, network, power, bad):
+        power = power.copy()
+        power[1] = bad
+        integ = ExactIntegrator(network)
+        with pytest.raises(ValueError):
+            integ.steady_state(power)
+        with pytest.raises(ValueError):
+            integ.advance(network.initial_temperatures(), power, 0.01)
+
+
 class TestEulerIntegrator:
     def test_matches_exact_on_mobile(self, network, power):
         worst, _ = integrator_agreement(network, power, duration=3.0,
@@ -144,9 +185,8 @@ class TestSharedPropagatorCache:
             shared_artifacts.clear()
 
     def test_shared_across_integrators_same_network(self, network):
-        from repro.thermal import integrator
-        from repro.thermal.cache import shared_artifacts
-        integrator.clear_propagator_cache()
+        from repro.thermal.cache import clear_artifact_cache, shared_artifacts
+        clear_artifact_cache()
         a = ExactIntegrator(network)
         b = ExactIntegrator(network)
         prop_a = a._propagator(0.01)
@@ -156,7 +196,7 @@ class TestSharedPropagatorCache:
         stats = shared_artifacts.stats()
         assert stats.misses == 1      # a built the propagator ...
         assert stats.hits == 1        # ... and b reused it
-        integrator.clear_propagator_cache()
+        clear_artifact_cache()
 
 
 class TestArtifactCache:
