@@ -1,4 +1,4 @@
-"""Event-path throughput: coalesced slice engine vs legacy per-quantum.
+"""Event-path throughput: coalesced slice engine vs per-quantum oracle.
 
 Two complementary measurements, written as a JSON artifact when
 ``EVENT_PATH_JSON=<path>`` is in the environment (CI points it at the
@@ -15,17 +15,21 @@ committed ``BENCH_event_path.json`` and uploads it):
   configs/sec; manifests must stay byte-identical across engines
   outside the event-path diagnostics.
 
-The engine is selected through ``REPRO_SLICE_COALESCE`` read at
-scheduler construction, flipped in-process between rounds (pool
-workers inherit the environment).
+The per-quantum ("legacy") rounds run inside
+``slice_oracle.per_quantum_everywhere()``, the test-side patch that
+stops every scheduler from opening a coalesced window (forked pool
+workers inherit it); those rounds must report no coalesced slice.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
+import sys
 import time
+from pathlib import Path
 
 from repro.campaign import CampaignRunner, expand_campaign
 from repro.experiments.config import ExperimentConfig
@@ -38,19 +42,28 @@ from repro.sim.process import PeriodicProcess
 
 from conftest import emit
 
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from slice_oracle import per_quantum_everywhere  # noqa: E402
+
 _WORKERS = max(2, min(4, multiprocessing.cpu_count()))
 
 
 # ----------------------------------------------------------------------
 # micro: the event path in isolation
 # ----------------------------------------------------------------------
-def _run_micro(coalesce: bool, t_end: float = 30.0):
+def _engine(key: str):
+    """The slice engine a round runs under: ``coalesced`` (shipped)
+    or ``legacy`` (the per-quantum oracle)."""
+    if key == "legacy":
+        return per_quantum_everywhere()
+    return contextlib.nullcontext()
+
+
+def _run_micro(t_end: float = 30.0):
     """Three pipelined streaming tasks, one per tile, no thermal."""
     sim = Simulator()
     chip = build_chip(lambda: sim.now, 3, CONF1_STREAMING, sim=sim)
     mpos = MPOS(sim, chip, quantum_s=0.001)
-    for s in mpos.schedulers:
-        s.coalesce = coalesce
     queues = {n: MsgQueue(n, 16) for n in ("q0", "q1", "q2", "q3")}
     for q in queues.values():
         mpos.bind_queue(q)
@@ -83,10 +96,11 @@ def _run_micro(coalesce: bool, t_end: float = 30.0):
 
 def _micro_rows():
     rows = {}
-    for key, coalesce in (("coalesced", True), ("legacy", False)):
+    for key in ("coalesced", "legacy"):
         best = None
         for _ in range(3):
-            row = _run_micro(coalesce)
+            with _engine(key):
+                row = _run_micro()
             if best is None or row["elapsed_s"] < best["elapsed_s"]:
                 best = row
         best["events_per_s"] = round(
@@ -99,18 +113,15 @@ def _micro_rows():
 # ----------------------------------------------------------------------
 # campaign: the golden threshold sweep under both engines
 # ----------------------------------------------------------------------
-def _run_campaign(backend: str, mode: str):
-    os.environ["REPRO_SLICE_COALESCE"] = mode
-    try:
-        base = ExperimentConfig(warmup_s=2.0, measure_s=5.0,
-                                solver="sparse-exact")
-        configs = expand_campaign("threshold-sweep", base)
+def _run_campaign(backend: str, key: str):
+    base = ExperimentConfig(warmup_s=2.0, measure_s=5.0,
+                            solver="sparse-exact")
+    configs = expand_campaign("threshold-sweep", base)
+    with _engine(key):
         t0 = time.perf_counter()
         result = CampaignRunner(workers=_WORKERS, backend=backend).run(
             configs, name="bench-event-path")
         elapsed = time.perf_counter() - t0
-    finally:
-        os.environ.pop("REPRO_SLICE_COALESCE", None)
     events = sum(r.report.events_executed for r in result.runs)
     slices = sum(r.report.slices_run for r in result.runs)
     coalesced = sum(r.report.slices_coalesced for r in result.runs)
@@ -141,15 +152,18 @@ def test_event_path_artifact():
     sweep_rows = {}
     manifests = {}
     for backend in ("serial", "vectorized"):
-        for key, mode in (("coalesced", "1"), ("legacy", "0")):
-            result, row, n_configs = _run_campaign(backend, mode)
+        for key in ("coalesced", "legacy"):
+            result, row, n_configs = _run_campaign(backend, key)
             sweep_rows[f"{backend}.{key}"] = row
             manifests[f"{backend}.{key}"] = result.to_json()
 
-    # Both engines must execute the identical simulated work...
+    # The oracle rounds really ran per quantum...
+    assert micro["legacy"]["slices_coalesced"] == 0
+    # ...and both engines execute the identical simulated work...
     for backend in ("serial", "vectorized"):
         on, off = (sweep_rows[f"{backend}.coalesced"],
                    sweep_rows[f"{backend}.legacy"])
+        assert off["slices_coalesced"] == 0
         assert on["slices_run"] == off["slices_run"]
         # ...and agree byte-for-byte outside the event-path counters.
         assert _strip_event_path(manifests[f"{backend}.coalesced"]) \

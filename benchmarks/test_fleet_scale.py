@@ -14,7 +14,8 @@ against its honest per-row baseline —
 * **put** — :meth:`ResultStore.put_many` vs the one-commit-per-call
   :meth:`ResultStore.put`;
 * **merge** — the ``ATTACH``-based :meth:`ResultStore.merge_from` vs
-  its row-loop fallback (``mode="rows"``, the pre-PR implementation).
+  its row-loop fallback (``ResultStore._merge_rows``, the pre-batching
+  implementation).
 
 The synthetic configs are duck-typed stand-ins (hash, dict payload and
 the lockstep-group fields) so the measurement isolates SQLite I/O from
@@ -264,10 +265,10 @@ def _bench_merge(tmp: Path) -> dict:
 
     rows = ResultStore(tmp / "merge-rows.sqlite")
     t0 = time.perf_counter()
-    assert rows.merge_from(source, mode="rows") == _N
+    assert rows._merge_rows(source) == _N
     rows_s = time.perf_counter() - t0
 
-    # Both modes import the identical logical bytes.
+    # Both paths import the identical logical bytes.
     assert attach.canonical_bytes() == rows.canonical_bytes() \
         == source.canonical_bytes()
 

@@ -25,11 +25,15 @@ resume without recomputation:
   :func:`~repro.campaign.backends.lockstep_group_key`, run them
   through an ordinary in-process
   :class:`~repro.campaign.backends.ExecutionBackend` (``serial`` or
-  ``vectorized``), persist each row to the worker's own result store
-  (``results-<worker>.sqlite``), then mark the task done.  Rows are
-  written *before* the task is marked done, so a crash in between
-  re-runs the task and the duplicate row is absorbed by the
-  idempotent :meth:`~repro.campaign.store.ResultStore.merge_from`.
+  ``vectorized``), flush the batch's rows to the worker's own result
+  store (``results-<worker>.sqlite``) through one buffered writer,
+  then mark the batch done with one
+  :meth:`CampaignQueue.complete_many`.  Rows are written *before* the
+  batch is marked done, so a crash in between re-runs the batch and
+  the duplicate rows are absorbed by the idempotent
+  :meth:`~repro.campaign.store.ResultStore.merge_from`.
+  A config whose run raises is charged a failed attempt on its own;
+  its lease siblings still land.
 * :class:`Coordinator` — owns the queue: enqueues campaigns
   (idempotently — resubmitting a campaign repairs torn rows and skips
   completed ones), spawns and respawns local worker processes, reaps
@@ -46,13 +50,18 @@ Fault-injection hooks (used by tests and the ``distributed-smoke`` CI
 job):
 
 * ``REPRO_FABRIC_KILL_AFTER=<n>`` — a worker SIGKILLs itself right
-  after persisting its *n*-th result row but *before* marking the task
-  done (the nastiest crash point: the row exists, the lease does not
-  know).  The fault fires exactly once per queue, recorded in the
-  journal's ``faults`` table, so respawned workers make progress.
+  after the batch flush that brings its stored rows to *n* or more,
+  *before* ``complete_many`` marks the batch done (the nastiest crash
+  point: the rows exist, the leases do not know).  The fault fires
+  exactly once per queue, recorded in the journal's ``faults`` table,
+  so respawned workers make progress.
 * :func:`run_worker`'s ``fault_hook`` — an in-process callback invoked
-  at every stage (``leased`` / ``computed`` / ``stored`` / ``done``);
-  raising from it simulates a crash at that exact point.
+  once per batch at every stage (``leased`` / ``computed`` /
+  ``stored`` / ``done``); raising from it simulates a crash at that
+  exact point.
+
+Both fire on the one write path every worker runs, so the fault suite
+tests the code that ships.
 
 Environment knobs (all optional): ``REPRO_QUEUE_DIR`` pins the queue
 directory of the ``distributed`` backend, ``REPRO_FABRIC_LEASE_S`` and
@@ -73,7 +82,8 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.campaign.store import ResultStore, StoreError
 from repro.metrics.report import RunReport
@@ -292,8 +302,8 @@ class CampaignQueue:
         ``executemany`` repair pass over the damaged subset — instead
         of a statement (plus a conflict probe) per config.  The
         journal image is byte-identical to the per-row reference
-        (:meth:`_enqueue_per_row`, kept for parity tests and as the
-        benchmark baseline).
+        enqueue that ``tests/test_fleet_io.py`` keeps as its parity
+        oracle.
         """
         rows = self._task_rows(configs, campaign, now)
         if not rows:
@@ -340,8 +350,8 @@ class CampaignQueue:
 
         Each row is ``(config_hash, campaign, config_json, group_key,
         enqueued_at)``; duplicate hashes within one submission collapse
-        to their first occurrence, exactly as the per-row path's
-        INSERT OR IGNORE treats them.
+        to their first occurrence, exactly as a per-row INSERT OR
+        IGNORE treats them.
         """
         from repro.campaign.backends import lockstep_group_key
         now = time.time() if now is None else now
@@ -356,48 +366,6 @@ class CampaignQueue:
                          json.dumps(config.to_dict(), sort_keys=True),
                          json.dumps(lockstep_group_key(config)), now))
         return rows
-
-    def _enqueue_per_row(self, configs: Iterable["ExperimentConfig"],
-                         campaign: str = "adhoc",
-                         now: Optional[float] = None) -> int:
-        """Per-row reference enqueue (one statement per config).
-
-        The pre-batching implementation, kept verbatim as the parity
-        oracle (``tests/test_fleet_io.py`` asserts byte-identical
-        journal images) and as the ``BENCH_fleet.json`` baseline.
-        """
-        from repro.campaign.backends import lockstep_group_key
-        now = time.time() if now is None else now
-        new = 0
-        for config in configs:
-            key = config.config_hash()
-            group = json.dumps(lockstep_group_key(config))
-            payload = json.dumps(config.to_dict(), sort_keys=True)
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO tasks "
-                "(config_hash, campaign, config, group_key, "
-                "enqueued_at) VALUES (?, ?, ?, ?, ?)",
-                (key, campaign, payload, group, now))
-            if cursor.rowcount:
-                new += 1
-                continue
-            row = self._conn.execute(
-                "SELECT state, config FROM tasks WHERE config_hash = ?",
-                (key,)).fetchone()
-            if row["state"] == "torn" or _parse_config(row["config"]) \
-                    is None:
-                # Torn write repair: overwrite the damaged row with a
-                # fresh pending task built from the submitted config.
-                self._conn.execute(
-                    "UPDATE tasks SET campaign = ?, config = ?, "
-                    "group_key = ?, state = 'pending', attempts = 0, "
-                    "lease_id = NULL, lease_expires = NULL, "
-                    "not_before = 0, last_error = NULL, "
-                    "enqueued_at = ? WHERE config_hash = ?",
-                    (campaign, payload, group, now, key))
-                new += 1
-        self._conn.commit()
-        return new
 
     # ------------------------------------------------------------------
     # leasing
@@ -507,23 +475,13 @@ class CampaignQueue:
     # ------------------------------------------------------------------
     # task completion
     # ------------------------------------------------------------------
-    def complete(self, config_hash: str, worker_id: str) -> bool:
-        """Mark a leased task done (no-op if the lease was lost)."""
-        cursor = self._conn.execute(
-            "UPDATE tasks SET state = 'done', lease_id = NULL, "
-            "lease_expires = NULL, last_error = NULL "
-            "WHERE config_hash = ? AND lease_id = ? AND "
-            "state = 'leased'", (config_hash, worker_id))
-        self._conn.commit()
-        return bool(cursor.rowcount)
-
     def complete_many(self, config_hashes: Iterable[str],
                       worker_id: str) -> int:
         """Mark a whole lease batch done in one transaction.
 
-        Each row keeps :meth:`complete`'s guard — only tasks still
-        leased by ``worker_id`` transition — so lost leases are
-        skipped, not clobbered.  Returns how many tasks were marked.
+        Each row is guarded — only tasks still leased by ``worker_id``
+        transition — so lost leases are skipped, not clobbered.
+        Returns how many tasks were marked.
         """
         before = self._conn.total_changes
         self._conn.executemany(
@@ -670,26 +628,25 @@ def worker_store_path(queue_dir, worker_id: str) -> Path:
 def run_worker(queue_dir, worker_id: Optional[str] = None,
                backend: Optional[str] = None, poll_s: float = 0.05,
                max_batches: Optional[int] = None,
-               fault_hook: Optional[Callable[[str, QueueTask],
+               fault_hook: Optional[Callable[[str, List[QueueTask]],
                                              None]] = None) -> int:
     """Lease and execute batches until the queue is finished.
 
     Each batch shares a lockstep group key, so ``backend`` may be any
     in-process backend — ``serial`` or ``vectorized`` (one
-    ``advance_batch`` per sensor epoch across the whole lease).  Rows
-    are persisted to this worker's own store *before* the task is
-    marked done; the coordinator's idempotent merge absorbs the
-    duplicate row a crash between the two writes produces.  Returns
-    the number of tasks completed.
+    ``advance_batch`` per sensor epoch across the whole lease).  The
+    batch's rows flush to this worker's own store through one
+    :class:`~repro.campaign.store.BufferedWriter`, then one
+    :meth:`CampaignQueue.complete_many` marks the batch done.
+    Rows land strictly before done, so a crash between the two
+    commits re-runs the batch and the coordinator's idempotent merge
+    absorbs the duplicate rows.  Returns the number of tasks
+    completed.
 
-    Store and queue writes are batched per lease: the whole batch's
-    rows flush through one :class:`~repro.campaign.store.BufferedWriter`
-    transaction, then one :meth:`CampaignQueue.complete_many` marks
-    the batch done — same write ordering, two commits per lease
-    instead of two per task.  With a ``fault_hook`` (or an armed
-    ``REPRO_FABRIC_KILL_AFTER``) the loop drops to the per-task
-    reference path, whose write boundaries are exactly the crash
-    points the fault suite injects at.
+    ``fault_hook(stage, tasks)`` is called once per batch after each
+    stage: ``leased`` with every leased task, then ``computed``,
+    ``stored`` and ``done`` with the tasks whose runs succeeded.
+    Raising from it simulates a crash at that point.
     """
     from repro.campaign.backends import make_backend
     from repro.experiments.config import ExperimentConfig
@@ -701,6 +658,7 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
     store = ResultStore(worker_store_path(queue_dir, worker_id))
     kill_after = _env_int("REPRO_FABRIC_KILL_AFTER", 0)
     engine = make_backend(backend)
+    hook = fault_hook or (lambda stage, tasks: None)
     completed = stored = batches = 0
     try:
         while True:
@@ -710,9 +668,7 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
                     break
                 time.sleep(poll_s)
                 continue
-            if fault_hook is not None:
-                for task in tasks:
-                    fault_hook("leased", task)
+            hook("leased", tasks)
             parsed = []
             for task in tasks:
                 # An unresolvable config (scenario registered only in
@@ -725,46 +681,21 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
                     queue.fail(task.config_hash, worker_id, repr(error))
             if not parsed:
                 continue
-            try:
-                reports = engine.execute(
-                    [config for _, config in parsed], workers=1)
-            except Exception as error:   # noqa: BLE001 - any run error
-                # A failing run (solver blow-up, resource exhaustion)
-                # must not kill the worker: record the attempt and let
-                # the bounded-retry machinery decide its fate.
-                for task, _ in parsed:
-                    queue.fail(task.config_hash, worker_id, repr(error))
-                continue
-            if fault_hook is None and not kill_after:
-                # Fast path: flush the whole batch's rows in one
-                # store transaction, then complete the batch in one
-                # queue transaction — rows still land strictly before
-                # any task is marked done, so a SIGKILL between the
-                # two commits re-runs tasks whose duplicate rows the
-                # idempotent merge absorbs, exactly as per-task.
-                with store.buffered() as writer:
-                    for (task, config), report in zip(parsed, reports):
-                        writer.put(task.config_hash, config.to_dict(),
-                                   report, campaign=task.campaign)
-                        stored += 1
-                completed += queue.complete_many(
-                    [task.config_hash for task, _ in parsed], worker_id)
-            else:
-                for (task, config), report in zip(parsed, reports):
-                    if fault_hook is not None:
-                        fault_hook("computed", task)
-                    store.put(task.config_hash, config.to_dict(),
-                              report, campaign=task.campaign)
-                    stored += 1
-                    if fault_hook is not None:
-                        fault_hook("stored", task)
-                    if kill_after and stored >= kill_after and \
-                            queue.claim_fault(f"kill-after-{kill_after}"):
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    if queue.complete(task.config_hash, worker_id):
-                        completed += 1
-                    if fault_hook is not None:
-                        fault_hook("done", task)
+            runs = _run_isolated(engine, parsed, queue, worker_id)
+            ran = [task for task, _, _ in runs]
+            hook("computed", ran)
+            with store.buffered() as writer:
+                for task, config, report in runs:
+                    writer.put(task.config_hash, config.to_dict(),
+                               report, campaign=task.campaign)
+            stored += len(runs)
+            hook("stored", ran)
+            if kill_after and stored >= kill_after and \
+                    queue.claim_fault(f"kill-after-{kill_after}"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            completed += queue.complete_many(
+                [task.config_hash for task in ran], worker_id)
+            hook("done", ran)
             batches += 1
             if max_batches is not None and batches >= max_batches:
                 break
@@ -772,6 +703,33 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
         store.close()
         queue.close()
     return completed
+
+
+def _run_isolated(engine, parsed: List[Tuple[QueueTask,
+                                             "ExperimentConfig"]],
+                  queue: CampaignQueue, worker_id: str,
+                  ) -> List[Tuple[QueueTask, "ExperimentConfig",
+                                  RunReport]]:
+    """Run a leased batch: ``(task, config, report)`` per config that ran.
+
+    A failing run (solver blow-up, resource exhaustion) must not kill
+    the worker, and one config's failure must not cost its lease
+    siblings their results.  When the batch raises, its members re-run
+    one at a time, and only a config that raises on its own is charged
+    the failed attempt; the bounded-retry machinery decides its fate.
+    """
+    try:
+        reports = engine.execute([config for _, config in parsed],
+                                 workers=1)
+    except Exception as error:   # noqa: BLE001 - any run error
+        if len(parsed) == 1:
+            queue.fail(parsed[0][0].config_hash, worker_id, repr(error))
+            return []
+        return [run for member in parsed
+                for run in _run_isolated(engine, [member], queue,
+                                         worker_id)]
+    return [(task, config, report)
+            for (task, config), report in zip(parsed, reports)]
 
 
 def _worker_entry(queue_dir: str, backend: str) -> None:

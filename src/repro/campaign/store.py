@@ -350,8 +350,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     # merging (the distributed-campaign import path)
     # ------------------------------------------------------------------
-    def merge_from(self, other: "ResultStore",
-                   mode: str = "auto") -> int:
+    def merge_from(self, other: "ResultStore") -> int:
         """Import rows from another store, exactly once per key.
 
         Keyed by ``(config_hash, campaign)`` with *insert-if-absent*
@@ -364,23 +363,15 @@ class ResultStore:
         ``tests/test_campaign_store.py``).  Merging a store into
         itself is a no-op.  Returns the number of rows imported.
 
-        ``mode`` selects the implementation — both produce the same
-        :meth:`canonical_bytes` image (parity-tested):
-
-        * ``"auto"`` (default) — one ``ATTACH DATABASE`` + ``INSERT OR
-          IGNORE … SELECT`` statement, the streaming set-at-a-time
-          path (>10x the row loop at 10⁴ rows, see
-          ``BENCH_fleet.json``); falls back to the row loop when the
-          source is in-memory, is this very store, or carries a
-          different column set (a store written by another repo
-          version).
-        * ``"rows"`` — the per-row reference loop, kept as the
-          cross-schema fallback and the benchmark baseline.
+        The import is one ``ATTACH DATABASE`` + ``INSERT OR IGNORE …
+        SELECT`` statement, the streaming set-at-a-time path (>10x the
+        row loop at 10⁴ rows, see ``BENCH_fleet.json``).  It falls
+        back to a per-row loop when the source is in-memory, is this
+        very store, or carries a different column set (a store
+        written by another repo version); both produce the same
+        :meth:`canonical_bytes` image (parity-tested).
         """
-        if mode not in ("auto", "rows"):
-            raise ValueError(f"unknown merge mode {mode!r}; "
-                             f"expected 'auto' or 'rows'")
-        if mode == "auto" and self._attach_compatible(other):
+        if self._attach_compatible(other):
             return self._merge_attach(other)
         return self._merge_rows(other)
 

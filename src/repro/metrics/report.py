@@ -58,9 +58,9 @@ class RunReport:
     avg_power_w: float = 0.0
 
     # Event-path observability: kernel and scheduler counters.
-    # ``events_executed`` / ``slices_coalesced`` depend on the slice
-    # engine (REPRO_SLICE_COALESCE) — diagnostics, never gated;
-    # ``slices_run`` is engine-independent by construction.
+    # ``events_executed`` / ``slices_coalesced`` count how the slice
+    # engine coalesced the run — diagnostics, never gated;
+    # ``slices_run`` equals the per-quantum oracle's by construction.
     events_executed: int = 0
     slices_run: int = 0
     slices_coalesced: int = 0

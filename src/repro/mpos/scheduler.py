@@ -20,9 +20,8 @@ Coalesced slice stepping
 ------------------------
 Between two *foreign* kernel events nothing can preempt the tasks on a
 tile: the round-robin rotation over ``current`` + ``run_q`` is fully
-determined, so the per-quantum slice events are pure overhead.  With
-coalescing enabled (the default; see :func:`slice_coalescing_enabled`)
-the scheduler computes a **horizon** — the earlier of the first task
+determined, so the per-quantum slice events are pure overhead.  The
+scheduler therefore computes a **horizon** — the earlier of the first task
 completion and the next foreign event — and schedules ONE
 ``_end_coalesced`` event covering every virtual quantum boundary that
 falls *strictly* before it.  The window end replays the exact
@@ -35,14 +34,16 @@ per-quantum stepping produces.  Interruptions (gating, DVFS changes,
 task arrivals, detach) *unwind* the window first:
 :meth:`CoreScheduler._uncoalesce` replays the virtual boundaries up to
 ``sim.now`` and re-materializes the legacy in-flight slice, after
-which the ordinary preemption/re-planning code runs unchanged.  The
-legacy per-quantum path stays selectable (``REPRO_SLICE_COALESCE=0``)
-as the differential-testing oracle.
+which the ordinary preemption/re-planning code runs unchanged.
+Windows shorter than two slices, and rotations with a migration
+pending, fall back to one kernel event per quantum
+(:meth:`CoreScheduler._begin_single_slice`); the differential tests
+force that fallback everywhere to run the per-quantum reference
+engine (``tests/slice_oracle.py``).
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
@@ -53,9 +54,6 @@ from repro.sim.kernel import Event, Simulator
 #: Cycle slack below which a compute phase counts as finished (absorbs
 #: floating-point dust from partial-slice accounting).
 CYCLE_EPS = 0.5
-
-#: Environment knob selecting the slice engine (default: coalesced).
-COALESCE_ENV = "REPRO_SLICE_COALESCE"
 
 #: Event-category tag on every scheduler quantum/window event.
 SLICE_EVENT_CATEGORY = "slice"
@@ -96,20 +94,6 @@ HORIZON_TRANSPARENT_CATEGORIES = (SLICE_EVENT_CATEGORY, "sensor",
                                   "source", "sink", "daemon")
 
 
-def slice_coalescing_enabled() -> bool:
-    """The process-wide default for :attr:`CoreScheduler.coalesce`.
-
-    Controlled by the ``REPRO_SLICE_COALESCE`` environment variable
-    (``0`` / ``false`` / ``off`` / ``no`` disable it); both modes are
-    byte-identical in every reported metric except the event-path
-    diagnostics (``events_executed`` / ``slices_coalesced``), so the
-    knob is deliberately *not* part of ``ExperimentConfig`` — it does
-    not change config hashes or golden identities.
-    """
-    return os.environ.get(COALESCE_ENV, "1").strip().lower() \
-        not in ("0", "false", "off", "no")
-
-
 FreezeCallback = Callable[[StreamTask], None]
 
 
@@ -143,9 +127,6 @@ class CoreScheduler:
         self._slice_f_hz = 0.0
         self._slice_planned_cycles = 0.0
 
-        #: Slice engine selector (see :func:`slice_coalescing_enabled`);
-        #: flip per-instance for differential testing.
-        self.coalesce = slice_coalescing_enabled()
         # Open coalesced window: one pending event standing in for
         # ``_co_slices`` virtual quantum slices starting at
         # ``_co_started`` with frequency ``_co_f_hz``.
@@ -282,8 +263,7 @@ class CoreScheduler:
         An open window defers per-quantum accounting to its window
         event, so external readers of live task state — the per-core
         statistics daemons, differential tests — call this first to
-        land the deferred boundaries.  A no-op when no window is open
-        (including whenever coalescing is off).
+        land the deferred boundaries.  A no-op when no window is open.
         """
         self._uncoalesce()
 
@@ -327,15 +307,14 @@ class CoreScheduler:
     def _begin_slice(self) -> None:
         task = self.current
         assert task is not None and task.phase is TaskPhase.COMPUTE
-        if self.coalesce and not self.gated \
-                and not task.migration_pending \
+        if not self.gated and not task.migration_pending \
                 and not any(t.migration_pending for t in self.run_q) \
                 and self._begin_coalesced(task):
             return
         self._begin_single_slice()
 
     def _begin_single_slice(self) -> None:
-        """Legacy per-quantum engine: one kernel event per slice."""
+        """Per-quantum fallback: one kernel event per slice."""
         task = self.current
         f = self.frequency_hz
         planned = min(self.quantum_s * f, max(task.remaining_cycles, 0.0))

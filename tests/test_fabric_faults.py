@@ -10,12 +10,19 @@ serial pass, and no configuration is simulated more than
 The suite injects faults at three altitudes:
 
 * in-process, via :func:`run_worker`'s ``fault_hook`` (deterministic
-  crash points between every pair of journal/store writes);
-* at the process level, SIGKILLing coordinator-spawned workers at
-  randomized (seeded) instants while the supervisor respawns them;
+  crash points at every batch boundary of the worker's one write
+  path: leased, computed, stored, done);
+* at the process level, a ``repro worker`` that SIGKILLs itself
+  between its ``put_many`` and ``complete_many`` commits
+  (``REPRO_FABRIC_KILL_AFTER``), and coordinator-spawned workers
+  SIGKILLed at randomized (seeded) instants while the supervisor
+  respawns them;
 * at the campaign level, SIGKILLing an entire ``repro campaign
   --backend distributed`` process group and re-running the same
   command to resume from the journal.
+
+One config whose run raises must cost only itself an attempt: its
+lease siblings still land (``TestSiblingIsolation``).
 """
 
 from __future__ import annotations
@@ -45,14 +52,19 @@ from repro.campaign.fabric import (
 )
 from repro.campaign.store import ResultStore
 from repro.experiments.config import ExperimentConfig
+from repro.policies.migra import MigraThermalBalancer
+from repro.policies.registry import policy_registry
 
 CAMPAIGN = "faults"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _configs():
+    """Six configs in three lockstep groups (one per solver), so a
+    worker drains the campaign in three leased batches of two."""
     base = ExperimentConfig(warmup_s=0.5, measure_s=1.0)
-    return sweep(base, policy=("energy", "migra"),
-                 threshold_c=(2.0, 3.0))
+    return sweep(base, solver=("dense-exact", "sparse-exact", "reduced"),
+                 policy=("energy", "migra"))
 
 
 @pytest.fixture(scope="module")
@@ -93,29 +105,32 @@ def _merged_campaign_store(queue_dir, tmp_path):
 
 
 class TestWorkerCrashPoints:
-    """Deterministic in-process crashes at every write boundary."""
+    """Deterministic in-process crashes at every batch boundary, on
+    the first batch and on the last of the campaign's three."""
 
     class _Crash(RuntimeError):
         pass
 
-    @pytest.mark.parametrize("stage", ["leased", "computed", "stored"])
-    @pytest.mark.parametrize("crash_index", [0, 2])
+    @pytest.mark.parametrize("stage",
+                             ["leased", "computed", "stored", "done"])
+    @pytest.mark.parametrize("crash_batch", [0, 2])
     def test_resume_is_byte_identical(self, tmp_path, serial_reference,
-                                      stage, crash_index):
+                                      stage, crash_batch):
         queue_dir = tmp_path / "queue"
         queue = CampaignQueue(queue_dir, lease_timeout_s=0.0,
                               retries=3)
         queue.enqueue(_configs(), campaign=CAMPAIGN)
         queue.close()
 
-        seen = {"count": 0}
+        seen = {"batches": 0}
 
-        def hook(hook_stage, task):
+        def hook(hook_stage, tasks):
+            assert tasks, "every batch of this campaign runs"
             if hook_stage != stage:
                 return
-            if seen["count"] == crash_index:
-                raise self._Crash(f"{stage}[{crash_index}]")
-            seen["count"] += 1
+            if seen["batches"] == crash_batch:
+                raise self._Crash(f"{stage}[{crash_batch}]")
+            seen["batches"] += 1
 
         with pytest.raises(self._Crash):
             run_worker(queue_dir, worker_id="crashy",
@@ -134,31 +149,95 @@ class TestWorkerCrashPoints:
 
     def test_crash_between_store_and_done_duplicates_nothing(
             self, tmp_path, serial_reference):
-        """The nastiest point: the result row exists, the task is
-        still leased.  The retry recomputes it; the merge imports it
-        exactly once."""
+        """The nastiest point: the batch's rows exist, its tasks are
+        still leased.  The retry recomputes them; the merge imports
+        each key exactly once."""
         queue_dir = tmp_path / "queue"
         queue = CampaignQueue(queue_dir, lease_timeout_s=0.0,
                               retries=3)
         queue.enqueue(_configs(), campaign=CAMPAIGN)
         queue.close()
 
-        def hook(stage, task):
+        crashed = []
+
+        def hook(stage, tasks):
             if stage == "stored":
-                raise self._Crash("between store.put and complete")
+                crashed.extend(task.config_hash for task in tasks)
+                raise self._Crash("between put_many and complete_many")
 
         with pytest.raises(self._Crash):
             run_worker(queue_dir, worker_id="halfway", fault_hook=hook)
-        # The orphaned row is already in the crashed worker's store.
+        # The whole first batch is already in the crashed worker's
+        # store, and its tasks are still leased.
+        assert len(crashed) == 2
         orphan = ResultStore(worker_store_path(queue_dir, "halfway"))
-        assert len(orphan) == 1
+        assert sorted(run.config_hash for run in orphan.runs()) \
+            == sorted(crashed)
         orphan.close()
+        with CampaignQueue(queue_dir) as queue:
+            assert queue.counts()["leased"] == len(crashed)
 
         _drive_to_completion(queue_dir)
+        # Every crashed key now has two worker rows; the merge keeps
+        # one per key.
+        coordinator = Coordinator(queue_dir)
+        merged = coordinator.merged_store()
+        assert len(merged) == len(_configs())
+        merged.close()
+        coordinator.close()
         store = _merged_campaign_store(queue_dir, tmp_path)
         assert store.canonical_bytes() \
             == serial_reference["store_bytes"]
         assert len(store) == len(_configs())
+        store.close()
+
+
+class TestKillAfter:
+    """``REPRO_FABRIC_KILL_AFTER`` on a real ``repro worker``."""
+
+    def _worker(self, queue_dir):
+        env = dict(os.environ, REPRO_FABRIC_KILL_AFTER="1",
+                   PYTHONPATH=str(SRC) + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "worker",
+             "--queue", str(queue_dir), "--poll", "0.01"],
+            env=env, capture_output=True, text=True, timeout=300)
+
+    def test_kill_after_first_put_many_resumes_byte_identical(
+            self, tmp_path, serial_reference):
+        queue_dir = tmp_path / "queue"
+        queue = CampaignQueue(queue_dir, lease_timeout_s=0.0,
+                              retries=3)
+        queue.enqueue(_configs(), campaign=CAMPAIGN)
+        queue.close()
+
+        killed = self._worker(queue_dir)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        # Killed after its first put_many commit, before complete_many:
+        # the first batch's rows exist while its tasks are leased.
+        with CampaignQueue(queue_dir) as queue:
+            counts = queue.counts()
+            leased = {row[0] for row in queue._conn.execute(
+                "SELECT config_hash FROM tasks WHERE state = 'leased'")}
+        assert counts["done"] == 0
+        assert counts["leased"] == 2
+        stores = list(queue_dir.glob("results-*.sqlite"))
+        assert len(stores) == 1
+        orphan = ResultStore(stores[0])
+        assert {run.config_hash for run in orphan.runs()} == leased
+        orphan.close()
+
+        # The same command resumes: the fault is one-shot per queue,
+        # so the inherited kill switch does not fire again.
+        resumed = self._worker(queue_dir)
+        assert resumed.returncode == 0, resumed.stderr
+        with CampaignQueue(queue_dir) as queue:
+            assert queue.counts()["done"] == len(_configs())
+            assert queue.max_attempts() == 2
+        store = _merged_campaign_store(queue_dir, tmp_path)
+        assert store.canonical_bytes() \
+            == serial_reference["store_bytes"]
         store.close()
 
 
@@ -215,10 +294,10 @@ class TestCoordinatorCrash:
         second = Coordinator(queue_dir)
         assert second.queue.counts()["pending"] == 2
         # Idempotent resubmission completes the journal: the two
-        # surviving rows keep their state, the missing two appear.
+        # surviving rows keep their state, the missing ones appear.
         added = second.enqueue(configs, campaign=CAMPAIGN)
-        assert added == 2
-        assert second.queue.counts()["pending"] == 4
+        assert added == len(configs) - 2
+        assert second.queue.counts()["pending"] == len(configs)
         second.close()
 
     def test_journal_survives_unfinished_work(self, tmp_path,
@@ -338,6 +417,76 @@ class TestBoundedRetries:
         coordinator.close()
 
 
+#: The threshold at which :class:`_DivergingMigra` blows up.
+POISON_C = 3.0
+
+
+class _DivergingMigra(MigraThermalBalancer):
+    """MiGra whose ``POISON_C`` run raises half a second into the
+    measured phase: a failure inside the run, not at config parsing."""
+
+    def step(self, now, core_temps):
+        if self.threshold_c == POISON_C and now >= self.enabled_at + 0.5:
+            raise FloatingPointError("policy diverged mid-run")
+        super().step(now, core_temps)
+
+
+class TestSiblingIsolation:
+    """A config that raises mid-run fails alone: its lease siblings
+    (one lockstep group, hence one batch) complete on their first
+    attempt and their rows match a serial pass."""
+
+    @pytest.fixture
+    def diverging_policy(self):
+        with policy_registry.temporarily(
+                "diverging-migra",
+                lambda config: _DivergingMigra(
+                    threshold_c=config.threshold_c)):
+            yield "diverging-migra"
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_one_raising_config_fails_alone(self, tmp_path, backend,
+                                            diverging_policy):
+        base = ExperimentConfig(warmup_s=0.5, measure_s=1.0,
+                                policy=diverging_policy)
+        configs = sweep(base, threshold_c=(1.0, 2.0, POISON_C, 4.0))
+        healthy = [c for c in configs if c.threshold_c != POISON_C]
+        poison = next(c for c in configs if c.threshold_c == POISON_C)
+
+        queue_dir = tmp_path / "queue"
+        queue = CampaignQueue(queue_dir, lease_timeout_s=60.0,
+                              retries=2, backoff_s=0.0)
+        queue.enqueue(configs, campaign=CAMPAIGN)
+        queue.close()
+        assert run_worker(queue_dir, worker_id="w0",
+                          backend=backend) == len(healthy)
+
+        with CampaignQueue(queue_dir) as queue:
+            tasks = {row["config_hash"]: dict(row) for row in
+                     queue._conn.execute(
+                         "SELECT config_hash, state, attempts, "
+                         "last_error FROM tasks")}
+            retries = queue.retries
+        for config in healthy:
+            task = tasks[config.config_hash()]
+            assert (task["state"], task["attempts"]) == ("done", 1)
+        failed = tasks[poison.config_hash()]
+        assert (failed["state"], failed["attempts"]) \
+            == ("failed", retries + 1)
+        assert "FloatingPointError" in failed["last_error"]
+
+        runner = CampaignRunner(backend="serial",
+                                cache_dir=tmp_path / "serial")
+        runner.run(healthy, name=CAMPAIGN)
+        reference = runner.store.canonical_bytes()
+        runner.close()
+        coordinator = Coordinator(queue_dir)
+        merged = coordinator.merged_store()
+        assert merged.canonical_bytes() == reference
+        merged.close()
+        coordinator.close()
+
+
 class TestTornRows:
     """A torn journal write is skipped with a warning and repaired by
     re-enqueueing — never a traceback (mirrors the corrupt
@@ -447,9 +596,9 @@ class TestQueueMechanics:
         task = queue.lease("slow", now=now)[0]
         # The lease expires and another worker completes the task.
         fast = queue.lease("fast", now=now + 1.0)[0]
-        assert queue.complete(fast.config_hash, "fast")
+        assert queue.complete_many([fast.config_hash], "fast") == 1
         # The zombie's completion must not clobber anything.
-        assert not queue.complete(task.config_hash, "slow")
+        assert queue.complete_many([task.config_hash], "slow") == 0
         assert queue.counts()["done"] == 1
         queue.close()
 

@@ -10,6 +10,10 @@ path must be *observably identical* to its per-row twin: identical
 queue.  These tests pin that equivalence, plus a Hypothesis property
 that batched enqueue stays idempotent under resubmission with
 interleaved torn rows.
+
+The per-row enqueue reference exists only here
+(:func:`enqueue_per_row`); the store's per-row merge is the
+cross-schema fallback ``ResultStore._merge_rows``, called directly.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import sweep
-from repro.campaign.fabric import CampaignQueue, run_worker
+from repro.campaign.backends import lockstep_group_key
+from repro.campaign.fabric import CampaignQueue, _parse_config, run_worker
 from repro.campaign.store import BufferedWriter, ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import RunReport
@@ -61,6 +66,47 @@ def journal_image(queue: CampaignQueue) -> bytes:
         f"SELECT {cols} FROM tasks ORDER BY rowid").fetchall()
     return json.dumps([list(row) for row in rows],
                       sort_keys=True).encode()
+
+
+def enqueue_per_row(queue: CampaignQueue, configs, campaign: str,
+                    now: float) -> int:
+    """Per-row reference enqueue: the parity oracle for the batched one.
+
+    The pre-batching implementation, one INSERT OR IGNORE (plus a
+    conflict probe and, for a damaged row, a repair UPDATE) and one
+    commit per config.
+    """
+    conn = queue._conn
+    new = 0
+    for config in configs:
+        key = config.config_hash()
+        group = json.dumps(lockstep_group_key(config))
+        payload = json.dumps(config.to_dict(), sort_keys=True)
+        cursor = conn.execute(
+            "INSERT OR IGNORE INTO tasks "
+            "(config_hash, campaign, config, group_key, "
+            "enqueued_at) VALUES (?, ?, ?, ?, ?)",
+            (key, campaign, payload, group, now))
+        if cursor.rowcount:
+            new += 1
+            continue
+        row = conn.execute(
+            "SELECT state, config FROM tasks WHERE config_hash = ?",
+            (key,)).fetchone()
+        if row["state"] == "torn" or _parse_config(row["config"]) \
+                is None:
+            # Torn write repair: overwrite the damaged row with a
+            # fresh pending task built from the submitted config.
+            conn.execute(
+                "UPDATE tasks SET campaign = ?, config = ?, "
+                "group_key = ?, state = 'pending', attempts = 0, "
+                "lease_id = NULL, lease_expires = NULL, "
+                "not_before = 0, last_error = NULL, "
+                "enqueued_at = ? WHERE config_hash = ?",
+                (campaign, payload, group, now, key))
+            new += 1
+    conn.commit()
+    return new
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +204,8 @@ class TestAttachMerge:
         src = self._source(tmp_path / "src.sqlite")
         attach = ResultStore(tmp_path / "attach.sqlite")
         loop = ResultStore(tmp_path / "loop.sqlite")
-        n_attach = attach.merge_from(src)            # auto -> ATTACH
-        n_loop = loop.merge_from(src, mode="rows")
+        n_attach = attach.merge_from(src)            # ATTACH
+        n_loop = loop._merge_rows(src)               # per-row fallback
         assert n_attach == n_loop == 25
         assert attach.canonical_bytes() == loop.canonical_bytes() \
             == src.canonical_bytes()
@@ -206,12 +252,6 @@ class TestAttachMerge:
         src.close()
         dst.close()
 
-    def test_unknown_mode_is_an_error(self, tmp_path):
-        src = self._source(tmp_path / "src.sqlite", n=1)
-        with pytest.raises(ValueError, match="merge mode"):
-            src.merge_from(src, mode="bogus")
-        src.close()
-
     def test_file_stores_run_in_wal_mode(self, tmp_path):
         store = ResultStore(tmp_path / "wal.sqlite")
         mode = store._conn.execute(
@@ -229,8 +269,8 @@ class TestBatchedEnqueue:
         batched = CampaignQueue(tmp_path / "batched")
         loop = CampaignQueue(tmp_path / "loop")
         assert batched.enqueue(configs, campaign="fleet", now=100.0) \
-            == loop._enqueue_per_row(configs, campaign="fleet",
-                                     now=100.0) == len(configs)
+            == enqueue_per_row(loop, configs, campaign="fleet",
+                               now=100.0) == len(configs)
         assert journal_image(batched) == journal_image(loop)
         batched.close()
         loop.close()
@@ -247,8 +287,8 @@ class TestBatchedEnqueue:
         batched, loop = queues
         assert batched.enqueue(configs, campaign="fleet",
                                now=200.0) == 4         # 3 new + 1 repair
-        assert loop._enqueue_per_row(configs, campaign="fleet",
-                                     now=200.0) == 4
+        assert enqueue_per_row(loop, configs, campaign="fleet",
+                               now=200.0) == 4
         assert journal_image(batched) == journal_image(loop)
         for queue in queues:
             assert queue.counts()["torn"] == 0
@@ -260,8 +300,8 @@ class TestBatchedEnqueue:
         loop = CampaignQueue(tmp_path / "loop")
         doubled = configs + configs
         assert batched.enqueue(doubled, campaign="x", now=1.0) == 3
-        assert loop._enqueue_per_row(doubled, campaign="x",
-                                     now=1.0) == 3
+        assert enqueue_per_row(loop, doubled, campaign="x",
+                               now=1.0) == 3
         assert journal_image(batched) == journal_image(loop)
         batched.close()
         loop.close()
@@ -492,8 +532,6 @@ class TestBatchedWorkerDrain:
         queue = CampaignQueue(queue_dir, lease_timeout_s=30.0)
         queue.enqueue(configs, campaign="fleet")
         queue.close()
-        # No fault hook, no kill switch: this exercises the buffered
-        # put_many + complete_many fast path.
         completed = run_worker(queue_dir, worker_id="bulk")
         assert completed == len(configs)
 

@@ -1,12 +1,14 @@
 """Differential tests for the coalesced slice engine.
 
-The coalesced engine (``repro.mpos.scheduler``, ``REPRO_SLICE_COALESCE``)
-must be *bit-for-bit* equivalent to the legacy per-quantum engine in
-every observable: task cycle accounting, scheduler counters, run-queue
-order and all run metrics.  These tests drive mirrored systems — one
-per engine — through identical operation sequences (time advances,
-frame pushes, gating, DVFS changes) and compare exhaustively after
-every step; a hypothesis search generates the sequences.
+The coalesced engine (``repro.mpos.scheduler``) must be *bit-for-bit*
+equivalent to the per-quantum engine in every observable: task cycle
+accounting, scheduler counters, run-queue order and all run metrics.
+These tests drive mirrored systems — one per engine, the per-quantum
+side forced through ``slice_oracle`` — through identical operation
+sequences (time advances, frame pushes, gating, DVFS changes) and
+compare exhaustively after every step; a hypothesis search generates
+the sequences.  Every comparison also checks that the oracle side
+really ran per quantum: no coalesced slice, more kernel events.
 
 Observation forces materialization: an open window's boundary replay
 is deferred to the window event, so the coalesced system is unwound
@@ -14,28 +16,29 @@ is deferred to the window event, so the coalesced system is unwound
 state the legacy engine holds at that instant.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.mpos.queues import MsgQueue
 from repro.mpos.system import MPOS
 from repro.mpos.task import StreamTask, TaskState
 from repro.platform.presets import CONF1_STREAMING, build_chip
 from repro.sim.kernel import Simulator
 
+from slice_oracle import force_per_quantum, per_quantum_everywhere
 
-def build_stack(coalesce):
+
+def build_stack(oracle=False):
     """Two tiles: a contended rotation (a, b) on tile 0, a solo
-    consumer (c) on tile 1 fed by a's output — cross-tile wake-ups."""
+    consumer (c) on tile 1 fed by a's output — cross-tile wake-ups.
+    ``oracle=True`` forces every scheduler to run per quantum."""
     sim = Simulator()
     chip = build_chip(lambda: sim.now, 2, CONF1_STREAMING, sim=sim)
     mpos = MPOS(sim, chip, quantum_s=0.001)
-    for s in mpos.schedulers:
-        s.coalesce = coalesce
+    if oracle:
+        force_per_quantum(*mpos.schedulers)
 
     queues = {name: MsgQueue(name, 6) for name in
               ("qa", "qb", "q1", "q2", "q3")}
@@ -54,6 +57,21 @@ def build_stack(coalesce):
     mpos.map_task(b, 0)
     mpos.map_task(c, 1)
     return sim, chip, mpos, queues, (a, b, c)
+
+
+def build_pair():
+    """A coalesced stack and its per-quantum oracle twin."""
+    return build_stack(), build_stack(oracle=True)
+
+
+def assert_oracle_ran_per_quantum(fast, slow, strict=True):
+    """The oracle side opened no window and so executed more kernel
+    events (at least as many when no window could have opened)."""
+    assert sum(s.slices_coalesced for s in slow[2].schedulers) == 0
+    if strict:
+        assert fast[0].events_executed < slow[0].events_executed
+    else:
+        assert fast[0].events_executed <= slow[0].events_executed
 
 
 def observe(sim, chip, mpos, queues, tasks):
@@ -117,30 +135,28 @@ class TestDifferentialProperty:
     @settings(max_examples=40, deadline=None)
     @given(ops=OPS)
     def test_engines_bitwise_equal_under_random_ops(self, ops):
-        fast = build_stack(coalesce=True)
-        slow = build_stack(coalesce=False)
+        fast, slow = build_pair()
         for op in ops:
             apply_op(op, *fast)
             apply_op(op, *slow)
             assert observe(*fast) == observe(*slow)
+        assert_oracle_ran_per_quantum(fast, slow, strict=False)
 
     @settings(max_examples=10, deadline=None)
     @given(ops=OPS)
     def test_coalesced_engine_schedules_fewer_events(self, ops):
-        fast = build_stack(coalesce=True)
-        slow = build_stack(coalesce=False)
+        fast, slow = build_pair()
         for op in ops:
             apply_op(op, *fast)
             apply_op(op, *slow)
-        assert fast[0].events_executed <= slow[0].events_executed
+        assert_oracle_ran_per_quantum(fast, slow, strict=False)
 
 
 class TestUnwindPaths:
     """Each interruption class unwinds an open window exactly."""
 
     def fed_pair(self, frames=3):
-        fast = build_stack(coalesce=True)
-        slow = build_stack(coalesce=False)
+        fast, slow = build_pair()
         for stack in (fast, slow):
             queues = stack[3]
             for _ in range(frames):
@@ -153,6 +169,7 @@ class TestUnwindPaths:
         for stack in (fast, slow):
             stack[0].run_until(0.0035)   # mid-quantum, mid-window
         assert observe(*fast) == observe(*slow)
+        assert_oracle_ran_per_quantum(fast, slow)
 
     def test_gate_mid_window(self):
         fast, slow = self.fed_pair()
@@ -164,6 +181,7 @@ class TestUnwindPaths:
             mpos.ungate_core(0)
             sim.run_until(0.02)
         assert observe(*fast) == observe(*slow)
+        assert_oracle_ran_per_quantum(fast, slow)
 
     def test_frequency_change_mid_window(self):
         fast, slow = self.fed_pair()
@@ -175,13 +193,13 @@ class TestUnwindPaths:
             mpos.scheduler(0).on_frequency_changed()
             sim.run_until(0.02)
         assert observe(*fast) == observe(*slow)
+        assert_oracle_ran_per_quantum(fast, slow)
 
     def test_arrival_mid_window_forms_rotation(self):
         # b's first frame arrives while a's solo window is open: the
         # unwound scheduler must pick up the round-robin exactly where
         # the legacy engine would.
-        fast = build_stack(coalesce=True)
-        slow = build_stack(coalesce=False)
+        fast, slow = build_pair()
         for stack in (fast, slow):
             sim, chip, mpos, queues, tasks = stack
             queues["qa"].push("f")
@@ -189,9 +207,10 @@ class TestUnwindPaths:
             queues["qb"].push("f")
             sim.run_until(0.05)
         assert observe(*fast) == observe(*slow)
+        assert_oracle_ran_per_quantum(fast, slow)
 
     def test_rotation_window_coalesces_contended_slices(self):
-        sim, chip, mpos, queues, tasks = build_stack(coalesce=True)
+        sim, chip, mpos, queues, tasks = build_stack()
         queues["qa"].push("f")
         queues["qb"].push("f")
         sim.run_until(0.04)
@@ -202,34 +221,21 @@ class TestUnwindPaths:
         assert sim.events_executed < sched.slices_run
 
 
-def run_report(mode, policy):
-    """Run a short experiment in a subprocess with the engine forced
-    via the environment knob (read at scheduler construction)."""
-    code = f"""
-import json, os, sys
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
-r = run_experiment(ExperimentConfig(policy={policy!r}, warmup_s=0.5,
-                                    measure_s=1.0)).report
-print(json.dumps(r.to_dict()))
-"""
-    env = dict(os.environ, REPRO_SLICE_COALESCE=mode,
-               PYTHONPATH="src")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         cwd=os.path.dirname(os.path.dirname(
-                             os.path.abspath(__file__))))
-    import json
-    return json.loads(out.stdout)
+def run_report(policy):
+    """One short experiment's report as a plain dict."""
+    config = ExperimentConfig(policy=policy, warmup_s=0.5, measure_s=1.0)
+    return run_experiment(config).report.to_dict()
 
 
 @pytest.mark.parametrize("policy", ["energy", "stopgo", "migra"])
 def test_full_run_reports_byte_identical(policy):
-    on = run_report("1", policy)
-    off = run_report("0", policy)
+    on = run_report(policy)
+    with per_quantum_everywhere():
+        off = run_report(policy)
     # Only the event-path diagnostics may differ between engines.
     diagnostic = ("events_executed", "slices_coalesced")
     assert {k: v for k, v in on.items() if k not in diagnostic} \
         == {k: v for k, v in off.items() if k not in diagnostic}
     assert on["slices_run"] == off["slices_run"]
+    assert off["slices_coalesced"] == 0 < on["slices_coalesced"]
     assert on["events_executed"] < off["events_executed"]
