@@ -60,11 +60,10 @@ def test_parallel_speedup_over_serial():
     serial = _run_sweep(1)
     t_serial = time.perf_counter() - t0
     # 8 runs over one thermal network: the serial (in-process) sweep
-    # must have served 7 of the 8 propagator lookups from the shared
-    # artifact cache.
+    # must compute that network's matrix exponential exactly once.
     stats = cache_stats()
     emit(f"serial sweep artifact reuse: {stats.to_text()}")
-    assert stats.hits >= len(_CONFIGS) - 1
+    assert stats.misses == 1
 
     t0 = time.perf_counter()
     parallel = _run_sweep(_PARALLEL_WORKERS)

@@ -11,23 +11,30 @@ reports for the same configs (see the parity tests).
 
 Built-in backends, resolved by name through :data:`backend_registry`:
 
-* ``serial`` — in-process loop; the process-wide propagator cache in
+* ``serial`` — in-process, through
+  :func:`~repro.experiments.runner.run_batch`: configs that differ only
+  in their policy simulate their policy-off warm-up once, and each
+  measures on its own fork of it; the process-wide propagator cache in
   :mod:`repro.thermal.integrator` stays warm across all runs.
 * ``process-pool`` — one config per ``multiprocessing`` task,
   round-robined over workers; best when configs are heterogeneous.
+  Tasks share nothing, warm-ups included.
 * ``batched`` — groups configs that share thermal-solver artifacts
   (same platform / package / core count / solver) and ships each group
   to a worker whole, so the RC network's propagator artifacts are
   built once per group instead of once per (worker, network)
-  encounter.  Best for topology-diverse sweeps with many runs per
-  platform.
+  encounter, and the worker runs its group through ``run_batch``, so
+  shared warm-ups run once.  Best for topology-diverse sweeps with
+  many runs per platform.
 * ``vectorized`` — groups like ``batched`` (plus sensor period and
   phase timing) and runs each group's simulators *in lockstep*: at
   every common sensor epoch the K per-config thermal advances collapse
   into one :meth:`~repro.thermal.solvers.ThermalSolver.advance_batch`
-  mat-mat (see :mod:`repro.campaign.lockstep`).  Best for sweeps with
-  many configs per network — threshold sweeps, seed sweeps — on
-  machines with few cores.
+  mat-mat (see :mod:`repro.campaign.lockstep`).  Each distinct
+  warm-up runs once: the distinct warm-ups advance in lockstep, then
+  every config's fork of its warm-up.  Best for sweeps with many
+  configs per network — threshold sweeps, seed sweeps — on machines
+  with few cores.
 * ``distributed`` — the resumable campaign fabric
   (:mod:`repro.campaign.fabric`): configs are journaled to a durable
   SQLite queue, leased in lockstep-group batches by supervised worker
@@ -138,19 +145,23 @@ def _execute_one(config_dict: Dict) -> Dict:
 
 def _execute_group(config_dicts: List[Dict]) -> List[Dict]:
     """Worker entry point: one network-sharing group, run in order."""
-    return [_execute_one(d) for d in config_dicts]
+    from repro.experiments import ablation, figure1  # noqa: F401
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_batch
+    configs = [ExperimentConfig.from_dict(d) for d in config_dicts]
+    return [report.to_dict() for report in run_batch(configs)]
 
 
 @register_backend("serial")
 class SerialBackend(ExecutionBackend):
-    """In-process execution, one config after another."""
+    """In-process execution, one warm-up group after another."""
 
     name = "serial"
 
     def execute(self, configs: List["ExperimentConfig"],
                 workers: int) -> List[RunReport]:
-        from repro.experiments.runner import run_experiment
-        return [run_experiment(config).report for config in configs]
+        from repro.experiments.runner import run_batch
+        return run_batch(configs)
 
 
 @register_backend("process-pool")

@@ -112,7 +112,7 @@ class SystemBuilder:
 
     def build_chip(self, sim: Simulator):
         """N-core chip with the generated row-of-tiles floorplan."""
-        return build_chip(lambda: sim.now, self.config.n_cores,
+        return build_chip(sim.clock, self.config.n_cores,
                           self.config.platform_config, sim=sim)
 
     def build_network(self, chip) -> RCNetwork:

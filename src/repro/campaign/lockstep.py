@@ -43,46 +43,73 @@ def run_lockstep_group(configs: Sequence[ExperimentConfig]) -> List[RunReport]:
     Every config must share platform, package, core count, solver,
     sensor period and phase timing (the ``vectorized`` backend's group
     key guarantees this).  Returns reports in input order.
+
+    Each distinct warm-up runs once (see
+    :func:`repro.experiments.runner.run_batch`): phase 1 advances one
+    trunk per warm-up key in lockstep, phase 2 advances every config's
+    fork of its trunk in lockstep.
     """
-    from repro.experiments.runner import build_system, finalize_run
+    from repro.experiments.runner import (
+        build_system,
+        check_traced,
+        finalize_run,
+        member_systems,
+        warmup_groups,
+    )
 
     for config in configs:
-        if not config.trace_enabled:
-            raise ValueError("lockstep runs need trace_enabled=True; "
-                             "use build_system directly for traceless runs")
-    suts = [build_system(config) for config in configs]
+        check_traced(config)
+    groups = warmup_groups(configs)
     warmup = configs[0].warmup_s
     t_end = configs[0].t_end
 
-    # The backend's group key guarantees network compatibility; the
-    # digest check is a cheap one-time belt-and-braces guard so a
-    # drifting config degrades to serial stepping instead of silently
-    # mixing networks in one mat-mat.
-    digest = suts[0].sensors.network.digest()
-    batchable = [sut for sut in suts
-                 if sut.sensors.network.digest() == digest
-                 and sut.sensors.solver_name == suts[0].sensors.solver_name
-                 and sut.sensors.period_s == suts[0].sensors.period_s]
-    serial = [sut for sut in suts if sut not in batchable]
-
     # Phase 1: initial execution, policy off (temperatures stabilize).
-    _advance_lockstep(batchable, warmup)
-    for sut in serial:
-        sut.sim.run_until(warmup)
+    trunks = [build_system(group[0].config) for group in groups]
+    _run_lockstep(trunks, warmup)
+    suts: List[SystemUnderTest] = [None] * len(configs)  # type: ignore
+    cold = []
+    for group in groups:
+        # Popped, so a checkpointed trunk is freed once it is forked.
+        for index, sut, warmed in member_systems(group, trunks.pop(0)):
+            suts[index] = sut
+            if not warmed:
+                cold.append(sut)
+    _run_lockstep(cold, warmup)
     for sut in suts:
         sut.policy.enable(sut.sim.now)
 
     # Phase 2: policy active; figures measure this window.
     starts = [float(sut.chip.cumulative_energy_j().sum()) for sut in suts]
-    _advance_lockstep(batchable, t_end)
-    for sut in serial:
-        sut.sim.run_until(t_end)
+    _run_lockstep(suts, t_end)
 
     reports = []
     for sut, start in zip(suts, starts):
         energy_j = float(sut.chip.cumulative_energy_j().sum() - start)
         reports.append(finalize_run(sut, energy_j).report)
     return reports
+
+
+def _run_lockstep(suts: Sequence[SystemUnderTest], t_stop: float) -> None:
+    """Advance every simulator to ``t_stop``, in lockstep where possible.
+
+    The backend's group key guarantees network compatibility; the
+    digest check is a cheap belt-and-braces guard so a drifting config
+    degrades to serial stepping instead of silently mixing networks in
+    one mat-mat.
+    """
+    if not suts:
+        return
+    first = suts[0].sensors
+    digest = first.network.digest()
+    batchable, serial = [], []
+    for sut in suts:
+        compatible = (sut.sensors.network.digest() == digest
+                      and sut.sensors.solver_name == first.solver_name
+                      and sut.sensors.period_s == first.period_s)
+        (batchable if compatible else serial).append(sut)
+    _advance_lockstep(batchable, t_stop)
+    for sut in serial:
+        sut.sim.run_until(t_stop)
 
 
 def _advance_lockstep(suts: Sequence[SystemUnderTest],
@@ -157,7 +184,3 @@ def _fire_epoch(suts: List[SystemUnderTest], t_min: float) -> None:
         sut.sensors.inject_advance(advanced[:, k].copy())
         sut.sim.step()
 
-
-def lockstep_timing_key(config: ExperimentConfig) -> tuple:
-    """Timing fields that must match for simulators to share epochs."""
-    return (config.sensor_period_s, config.warmup_s, config.measure_s)

@@ -151,7 +151,11 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
         kwargs["measure_s"] = args.measure
     if getattr(args, "solver", None) is not None:
         kwargs["solver"] = args.solver
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as error:     # --warmup nan, --measure 0, ...
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _add_phase_options(p: argparse.ArgumentParser) -> None:

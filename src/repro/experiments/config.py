@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Tuple
 
@@ -38,6 +39,12 @@ POLICY_NAMES = ("migra", "stopgo", "energy", "load")
 
 #: The threshold sweep of Figs. 7-11 (distance from the mean, Celsius).
 THRESHOLD_SWEEP_C = (1.0, 2.0, 3.0, 4.0)
+
+#: The fields only the policy reads.  A disabled policy does nothing,
+#: so configs that differ only in these share their policy-off warm-up
+#: (see :meth:`ExperimentConfig.warmup_key`).
+POLICY_ONLY_FIELDS = ("policy", "threshold_c", "top_k", "max_from_hot",
+                      "max_from_dst")
 
 
 @dataclass(frozen=True)
@@ -112,8 +119,17 @@ class ExperimentConfig:
         if self.migration_strategy not in ("replication", "recreation"):
             raise ValueError(
                 f"unknown migration strategy {self.migration_strategy!r}")
-        if self.warmup_s < 0 or self.measure_s <= 0:
-            raise ValueError("phases must have positive duration")
+        # NaN fails every comparison, so test for the valid range: a
+        # NaN or infinite phase or period would never end a run.
+        if not 0 <= self.warmup_s < math.inf:
+            raise ValueError(f"warmup_s must be finite and >= 0, got "
+                             f"{self.warmup_s!r}")
+        for name in ("measure_s", "quantum_s", "sensor_period_s",
+                     "daemon_period_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got "
+                                 f"{value!r}")
         if self.n_cores < 1:
             raise ValueError("need at least one core")
         # Single-source the load-knob validation: these fields feed the
@@ -191,6 +207,20 @@ class ExperimentConfig:
             cached = hashlib.sha256(encoded).hexdigest()[:20]
             object.__setattr__(self, "_scenario_hash", cached)
         return cached
+
+    def warmup_key(self) -> Tuple:
+        """Identity of the run's policy-off warm-up phase.
+
+        The config minus :data:`POLICY_ONLY_FIELDS`.  Until the policy
+        is enabled it does nothing, so runs with equal keys simulate a
+        bit-identical warm-up, which the runner simulates once and
+        forks (see :func:`repro.experiments.runner.run_batch`).
+        ``daemon_period_s``, the ``panic_*`` fields and ``measure_s``
+        stay in the key: the OS daemons, the panic guard and deferred
+        app arrivals read them during the warm-up.
+        """
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self)
+                     if f.name not in POLICY_ONLY_FIELDS)
 
     def cache_key(self) -> Tuple:
         """Hashable identity for run-matrix caching."""

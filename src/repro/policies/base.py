@@ -31,6 +31,15 @@ class PolicyDecision:
 class ThermalPolicy(abc.ABC):
     """Base class for all thermal policies.
 
+    A policy acts only through :meth:`step`, which
+    :meth:`on_temperature_update` calls only after :meth:`enable`.  A
+    disabled policy therefore does nothing, so configs that differ only
+    in their policy share one simulated warm-up
+    (:func:`repro.experiments.runner.run_batch`).  A subclass that
+    overrides :meth:`attach`, :meth:`enable` or
+    :meth:`on_temperature_update` could act while disabled; its configs
+    opt out and run their own warm-ups.
+
     Parameters
     ----------
     threshold_c:

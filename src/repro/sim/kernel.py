@@ -138,6 +138,14 @@ class Simulator:
         """
         return self._live
 
+    def clock(self) -> float:
+        """The simulated time: a picklable stand-in for ``lambda: sim.now``.
+
+        Components that only read the time (the chip) take this bound
+        method, so a built system stays picklable.
+        """
+        return self.now
+
     @property
     def events_executed(self) -> int:
         """Total callbacks executed since construction."""

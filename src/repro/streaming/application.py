@@ -134,27 +134,35 @@ class StreamingApplication:
                             for e in graph.outputs_of(spec.name)]
             app.tasks[spec.name] = task
 
-        def _start() -> None:
-            app.started = True
-            # Map tasks before traffic starts so DVFS settles first.
-            for spec in graph.task_specs:
-                mpos.map_task(app.tasks[spec.name], mapping[spec.name])
-            for edge in graph.source_edges():
-                app.sources.append(FrameSource(
-                    sim, app.queues[edge.name], frame_period_s, qos))
-            delay = sink_start_delay_frames * frame_period_s
-            for edge in graph.sink_edges():
-                app.sinks.append(PlaybackSink(
-                    sim, app.queues[edge.name], frame_period_s, qos,
-                    start_delay_s=delay))
-
+        delay = sink_start_delay_frames * frame_period_s
         if start_s == 0.0:
-            _start()            # inline: no extra kernel events
+            app._start(graph, mapping, delay)   # inline: no extra events
         else:
-            sim.schedule_at(start_s, _start)
+            sim.schedule_at(start_s, app._start, graph, mapping, delay)
         if stop_s is not None:
             sim.schedule_at(stop_s, app.stop)
         return app
+
+    def _start(self, graph: StreamGraph, mapping: Dict[str, int],
+               sink_delay_s: float) -> None:
+        """Arrival: map the tasks, then start sources and sinks.
+
+        A method scheduled with its arguments, not a closure, so a
+        system with a pending arrival still pickles (shared warm-ups
+        checkpoint systems by pickling them).
+        """
+        self.started = True
+        # Map tasks before traffic starts so DVFS settles first.
+        for spec in graph.task_specs:
+            self.mpos.map_task(self.tasks[spec.name], mapping[spec.name])
+        for edge in graph.source_edges():
+            self.sources.append(FrameSource(
+                self.sim, self.queues[edge.name], self.frame_period_s,
+                self.qos))
+        for edge in graph.sink_edges():
+            self.sinks.append(PlaybackSink(
+                self.sim, self.queues[edge.name], self.frame_period_s,
+                self.qos, start_delay_s=sink_delay_s))
 
     # ------------------------------------------------------------------
     # observability

@@ -98,6 +98,11 @@ class ThermalSubsystem:
         """Register ``listener(time, core_temps)`` for every update."""
         self._listeners.append(listener)
 
+    def replace_listener(self, old: TemperatureListener,
+                         new: TemperatureListener) -> None:
+        """Put ``new`` in ``old``'s place in the notification order."""
+        self._listeners[self._listeners.index(old)] = new
+
     def core_temperatures(self) -> np.ndarray:
         """Latest per-core temperatures (tile order), with sensor noise."""
         temps = self.temps[self._core_indices]

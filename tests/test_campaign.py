@@ -360,13 +360,15 @@ class TestIncrementalAnalysis:
         from repro.experiments import figures
         from repro.experiments import runner as runner_mod
         calls = []
-        real = runner_mod.run_experiment
+        real = runner_mod.finalize_run
 
-        def counting(config):
-            calls.append(config)
-            return real(config)
+        # Every simulated config is finalized once, whether it ran on
+        # its own or forked from a shared warm-up.
+        def counting(sut, energy_j):
+            calls.append(sut.config)
+            return real(sut, energy_j)
 
-        monkeypatch.setattr(runner_mod, "run_experiment", counting)
+        monkeypatch.setattr(runner_mod, "finalize_run", counting)
         base = ExperimentConfig(**SHORT)
         kwargs = dict(thresholds=(1.0, 2.0), base=base,
                       cache_dir=str(tmp_path), backend="serial")

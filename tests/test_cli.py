@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -532,3 +539,26 @@ class TestFabricCommands:
                      str(tmp_path / "queue")]) == 0
         assert f"{len(configs)} task(s) removed" \
             in capsys.readouterr().out
+
+
+class TestBadPhases:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--warmup", "nan"],
+        ["run", "--measure", "inf"],
+    ])
+    def test_run_exits_2_without_simulating(self, argv):
+        # Both used to hang: NaN and infinity passed the phase checks
+        # and the run never reached its end time.
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=30)
+        assert done.returncode == 2
+        assert "error:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_sweep_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig7", "--warmup", "nan"])
+        assert exit_info.value.code == 2
+        assert "warmup_s" in capsys.readouterr().err

@@ -62,6 +62,46 @@ class TestConfig:
     def test_t_end(self):
         assert ExperimentConfig(warmup_s=2.0, measure_s=3.0).t_end == 5.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("warmup_s", float("nan")), ("warmup_s", float("inf")),
+        ("warmup_s", -1.0),
+        ("measure_s", float("nan")), ("measure_s", float("inf")),
+        ("measure_s", 0.0), ("measure_s", -1.0),
+        ("quantum_s", float("nan")), ("quantum_s", float("inf")),
+        ("quantum_s", 0.0),
+        ("sensor_period_s", float("nan")), ("sensor_period_s", 0.0),
+        ("sensor_period_s", -0.01), ("sensor_period_s", float("inf")),
+        ("daemon_period_s", float("nan")), ("daemon_period_s", 0.0),
+        ("daemon_period_s", float("inf")),
+    ])
+    def test_non_finite_or_empty_timing_rejected(self, field, value):
+        # NaN passes any `<`/`<=` test, and a NaN or infinite phase or
+        # period never ends the run.
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_zero_warmup_accepted(self):
+        assert ExperimentConfig(warmup_s=0.0).warmup_s == 0.0
+
+
+class TestWarmupKey:
+    def test_policy_only_fields_share_a_key(self):
+        base = ExperimentConfig()
+        other = base.variant(policy="stopgo", threshold_c=1.0, top_k=1,
+                             max_from_hot=1, max_from_dst=2)
+        assert other.warmup_key() == base.warmup_key()
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=1), dict(package="highperf"), dict(solver="euler"),
+        # Read during the warm-up: the MPOS daemons, the panic guard,
+        # and deferred app arrivals scheduled from measure_s.
+        dict(daemon_period_s=0.2), dict(panic_guard=False),
+        dict(panic_temp_c=80.0), dict(measure_s=10.0),
+    ])
+    def test_other_fields_split_the_key(self, change):
+        base = ExperimentConfig()
+        assert base.variant(**change).warmup_key() != base.warmup_key()
+
 
 class TestMakePolicy:
     def test_policy_types(self):
