@@ -3,7 +3,7 @@
 An :class:`ExecutionBackend` turns a list of
 :class:`~repro.experiments.config.ExperimentConfig` into the matching
 list of :class:`~repro.metrics.report.RunReport` — nothing more.  The
-caching, dedup and aggregation around it live in
+caching, dedup, run sharing and aggregation around it live in
 :class:`~repro.campaign.engine.CampaignRunner`; picking a backend only
 changes *how* the simulations are scheduled, never what they compute:
 runs are deterministic, so every backend produces byte-identical
@@ -18,7 +18,7 @@ Built-in backends, resolved by name through :data:`backend_registry`:
   :mod:`repro.thermal.integrator` stays warm across all runs.
 * ``process-pool`` — one config per ``multiprocessing`` task,
   round-robined over workers; best when configs are heterogeneous.
-  Tasks share nothing, warm-ups included.
+  Tasks share no warm-up.
 * ``batched`` — groups configs that share thermal-solver artifacts
   (same platform / package / core count / solver) and ships each group
   to a worker whole, so the RC network's propagator artifacts are

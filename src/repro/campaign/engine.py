@@ -8,7 +8,12 @@ already-completed runs from its caches, hands the rest to a pluggable
 per-run :class:`~repro.metrics.report.RunReport` into a
 :class:`CampaignResult`:
 
-* duplicate configs in one campaign simulate once;
+* duplicate configs in one campaign simulate once, and so do configs
+  whose runs cannot differ (equal
+  :func:`~repro.experiments.runner.run_key`): the backend runs the
+  first of them, its *leader*, and every *twin* takes the leader's
+  report relabelled through
+  :func:`~repro.experiments.runner.config_labels`;
 * completed runs are cached in memory and, with ``cache_dir``, in a
   queryable :class:`~repro.campaign.store.ResultStore`
   (``results.sqlite``), so re-running a sweep only simulates the
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
@@ -168,7 +173,11 @@ class CampaignRunner:
             name: str = "campaign",
             workers: Optional[int] = None,
             backend: Optional[str] = None) -> CampaignResult:
-        """Run every configuration (deduplicated by config hash)."""
+        """Run every configuration (deduplicated by config hash).
+
+        Configs left to run that share a run key simulate once; every
+        config still gets its own report and store row.
+        """
         t_start = time.perf_counter()
         n_workers = self.workers if workers is None else int(workers)
         engine = self.backend if backend is None else make_backend(backend)
@@ -205,11 +214,22 @@ class CampaignRunner:
         if hit_writer is not None:
             hit_writer.flush()
 
+        # Only each run key's leader goes to the backend; ``slots``
+        # maps every missing config to its leader's place in ``to_run``.
+        from repro.experiments.runner import config_labels, run_key
+        leaders: Dict[object, int] = {}
+        slots: List[int] = []
+        to_run: List[ExperimentConfig] = []
+        for _, config in missing:
+            slot = leaders.setdefault(run_key(config), len(to_run))
+            if slot == len(to_run):
+                to_run.append(config)
+            slots.append(slot)
+
         # Backends with durable state (the distributed fabric) take an
         # execution context — campaign name plus cache_dir, the home
         # of their queue journal; plain backends keep the two-argument
         # protocol untouched.
-        to_run = [config for _, config in missing]
         execute_in_context = getattr(engine, "execute_in_context", None)
         if execute_in_context is not None:
             context = ExecutionContext(cache_dir=self.cache_dir,
@@ -221,7 +241,14 @@ class CampaignRunner:
         # put_many transaction per campaign, not one commit per run.
         collect_writer = (self.store.buffered(campaign=name)
                           if self.store is not None else None)
-        for (key, config), report in zip(missing, fresh):
+        for (key, config), slot in zip(missing, slots):
+            report = fresh[slot]
+            if to_run[slot] is not config:
+                # A twin: the leader's run under this config's labels,
+                # its list and dict copied so reports never alias.
+                report = replace(report, **config_labels(config),
+                                 core_mean_c=list(report.core_mean_c),
+                                 extra=dict(report.extra))
             reports[key] = report
             self._memory[key] = report
             if collect_writer is not None:

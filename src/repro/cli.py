@@ -158,6 +158,16 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
         raise SystemExit(2)
 
 
+def _threshold(text: str) -> float:
+    """Parse ``--threshold``/``--thresholds``: a value configs accept."""
+    try:
+        value = float(text)
+        ExperimentConfig(threshold_c=value)
+    except ValueError as error:     # "x", nan, inf, 0, -1
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
 def _add_phase_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", type=float, default=None,
                    help="warm-up seconds (default 12.5)")
@@ -209,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
             _add_engine_options(p)
 
     p = sub.add_parser("narrative", help="measure the Sec. 5.2 claims")
-    p.add_argument("--threshold", type=float, default=3.0)
+    p.add_argument("--threshold", type=_threshold, default=3.0)
 
     p = sub.add_parser("run", help="run one configuration")
     p.add_argument("--policy", default="migra",
                    choices=("migra", "stopgo", "energy", "load"))
-    p.add_argument("--threshold", type=float, default=3.0)
+    p.add_argument("--threshold", type=_threshold, default=3.0)
     p.add_argument("--package", default="mobile",
                    choices=("mobile", "highperf"))
     p.add_argument("--platform", default="conf1",
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "campaign engine")
     p.add_argument("--policies", nargs="+", default=["migra"],
                    metavar="POLICY")
-    p.add_argument("--thresholds", nargs="+", type=float,
+    p.add_argument("--thresholds", nargs="+", type=_threshold,
                    default=list(THRESHOLD_SWEEP_C), metavar="C")
     p.add_argument("--packages", nargs="+", default=["mobile"],
                    metavar="PKG")
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling",
                        help="core-count scaling study (extension)")
     p.add_argument("--cores", type=int, nargs="+", default=[2, 3, 4, 5])
-    p.add_argument("--threshold", type=float, default=2.0)
+    p.add_argument("--threshold", type=_threshold, default=2.0)
     _add_engine_options(p)
 
     p = sub.add_parser("results",
@@ -411,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ASCII die temperature map (grid model)")
     p.add_argument("--policy", default="energy",
                    choices=("migra", "stopgo", "energy", "load"))
-    p.add_argument("--threshold", type=float, default=3.0)
+    p.add_argument("--threshold", type=_threshold, default=3.0)
     p.add_argument("--package", default="mobile",
                    choices=("mobile", "highperf"))
     p.add_argument("--cell", type=float, default=0.2,

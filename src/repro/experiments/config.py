@@ -130,6 +130,14 @@ class ExperimentConfig:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got "
                                  f"{value!r}")
+        # Checked, not coerced, so no hash moves: a bool or a string
+        # would hash apart from the equal number.
+        threshold = self.threshold_c
+        if isinstance(threshold, bool) or \
+                not isinstance(threshold, (int, float)) or \
+                not 0 < threshold < math.inf:
+            raise ValueError(f"threshold_c must be a finite number > 0, "
+                             f"got {threshold!r}")
         if self.n_cores < 1:
             raise ValueError("need at least one core")
         # Single-source the load-knob validation: these fields feed the

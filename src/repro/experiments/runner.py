@@ -16,7 +16,9 @@ caches the runs.
 
 A batch of configs runs through :func:`run_batch`, which simulates
 each distinct warm-up once and forks every config's measured phase
-from it.
+from it.  Configs with equal :func:`run_key` values simulate a
+bit-identical run; the campaign engine runs one of them and relabels
+its report for the others (see :func:`config_labels`).
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from repro.metrics.temperature import TemperatureMetrics
 from repro.policies.base import ThermalPolicy
 from repro.policies.registry import make_policy
 
-__all__ = ["RunResult", "SystemUnderTest", "build_system", "finalize_run",
-           "make_policy", "run_batch", "run_experiment"]
+__all__ = ["RunResult", "SystemUnderTest", "build_system", "config_labels",
+           "finalize_run", "make_policy", "run_batch", "run_experiment",
+           "run_key"]
 
 class Member(NamedTuple):
     """One config of a warm-up group, with its policy built."""
@@ -183,6 +186,25 @@ def acts_while_disabled(policy: ThermalPolicy) -> bool:
                for name in ("attach", "enable", "on_temperature_update"))
 
 
+def run_key(config: ExperimentConfig) -> object:
+    """Identity of the whole simulated run of ``config``.
+
+    The warm-up key plus the class and pickled state of the policy
+    ``config`` builds.  The policy-only fields reach the simulation
+    only through that policy, so configs with equal keys simulate a
+    bit-identical run and their reports differ only in
+    :func:`config_labels`.  Two equal states that pickle differently
+    just get different keys.  A config whose policy cannot be built or
+    does not pickle gets a key of its own.
+    """
+    try:
+        policy = make_policy(config)
+        state = pickle.dumps(policy)
+    except Exception:   # noqa: BLE001 - the run reports it, unshared
+        return object()
+    return config.warmup_key(), type(policy), state
+
+
 def checkpoint_system(trunk: SystemUnderTest) -> Optional[Checkpoint]:
     """A checkpoint of a warmed-up trunk, or ``None`` if it won't pickle.
 
@@ -252,10 +274,7 @@ def finalize_run(sut: SystemUnderTest, energy_j: float) -> RunResult:
 
     report = RunReport(
         policy=sut.policy.name,
-        package=config.package_params.name,
-        workload=config.workload,
-        threshold_c=config.threshold_c,
-        duration_s=config.measure_s,
+        **config_labels(config),
         pooled_std_c=temperature.pooled_std(),
         spatial_std_c=temperature.spatial_std(),
         temporal_std_c=temperature.temporal_std(),
@@ -283,3 +302,11 @@ def finalize_run(sut: SystemUnderTest, energy_j: float) -> RunResult:
     )
     return RunResult(report=report, system=sut, temperature=temperature,
                      migration=migration, qos=qos)
+
+
+def config_labels(config: ExperimentConfig) -> Dict[str, object]:
+    """The :class:`RunReport` fields copied from the config, not measured."""
+    return dict(package=config.package_params.name,
+                workload=config.workload,
+                threshold_c=config.threshold_c,
+                duration_s=config.measure_s)

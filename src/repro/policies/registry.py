@@ -59,11 +59,14 @@ def _stopgo(config: "ExperimentConfig") -> ThermalPolicy:
     return StopAndGo(threshold_c=config.threshold_c)
 
 
+# The two balancing baselines never read ``threshold_c``, so their
+# factories do not pass it on: their policies are then equal at every
+# threshold, and the campaign engine simulates such configs once.
 @register_policy("energy")
 def _energy(config: "ExperimentConfig") -> ThermalPolicy:
-    return EnergyBalancing(threshold_c=config.threshold_c)
+    return EnergyBalancing()
 
 
 @register_policy("load")
 def _load(config: "ExperimentConfig") -> ThermalPolicy:
-    return LoadBalancing(threshold_c=config.threshold_c)
+    return LoadBalancing()

@@ -562,3 +562,24 @@ class TestBadPhases:
             main(["fig7", "--warmup", "nan"])
         assert exit_info.value.code == 2
         assert "warmup_s" in capsys.readouterr().err
+
+
+class TestBadThresholds:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--threshold", "nan"],
+        ["run", "--threshold", "inf"],
+        ["sweep", "--thresholds", "2", "nan"],
+        ["sweep", "--policies", "energy", "--thresholds", "0"],
+        ["narrative", "--threshold", "-1"],
+        ["scaling", "--threshold", "nan"],
+        ["thermal-map", "--threshold", "0"],
+    ])
+    def test_every_threshold_flag_exits_2(self, argv, capsys):
+        # `run --threshold nan` and `sweep --thresholds nan` used to
+        # exit 0 with a `theta nan` report; `sweep --policies energy
+        # --thresholds 0` ended in a traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "threshold_c must be a finite number > 0" \
+            in capsys.readouterr().err

@@ -83,6 +83,18 @@ class TestConfig:
     def test_zero_warmup_accepted(self):
         assert ExperimentConfig(warmup_s=0.0).warmup_s == 0.0
 
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), 0.0, 0, -1.0,
+        True, "3", None,
+    ])
+    def test_bad_threshold_rejected(self, value):
+        # NaN passed the policies' ``<= 0`` test and ran with a
+        # ``theta nan`` report; a string failed deep in the run.
+        with pytest.raises(ValueError, match="threshold_c"):
+            ExperimentConfig(threshold_c=value)
+        with pytest.raises(ValueError, match="threshold_c"):
+            ExperimentConfig.from_dict({"threshold_c": value})
+
 
 class TestWarmupKey:
     def test_policy_only_fields_share_a_key(self):
