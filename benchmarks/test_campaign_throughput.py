@@ -81,48 +81,47 @@ def test_parallel_speedup_over_serial():
 
 
 # ----------------------------------------------------------------------
-# backend comparison: per-config fan-out vs network-sharing batches
+# serial fan-out: warm-up group slices over a pool vs in-process
 # ----------------------------------------------------------------------
 
-#: Two thermal-network groups (conf1 + conf2), four runs each — the
-#: shape the batched backend is built for.
+#: Two warm-up groups (conf1 + conf2), four runs each — the shape the
+#: serial backend slices over its pool.
 _MIXED_CONFIGS = sweep(ExperimentConfig(warmup_s=2.0, measure_s=4.0),
                        platform=("conf1", "conf2"),
                        policy=("energy", "migra"),
                        threshold_c=(2.0, 3.0))
 
 
-def test_batched_backend_matches_pool_and_reports_timing():
-    """Wall-clock of process-pool vs batched on a mixed-platform sweep,
-    with the byte-identical parity assertion that makes the backend a
-    pure throughput knob."""
+def test_serial_fan_out_matches_in_process_and_reports_timing():
+    """Wall-clock of serial on 1 worker vs N workers on a
+    mixed-platform sweep, with the byte-identical parity assertion
+    that makes the worker count a pure throughput knob."""
     t0 = time.perf_counter()
-    pool = CampaignRunner(workers=_PARALLEL_WORKERS,
-                          backend="process-pool").run(
+    in_process = CampaignRunner(workers=1, backend="serial").run(
         _MIXED_CONFIGS, name="backend-compare")
-    t_pool = time.perf_counter() - t0
+    t_in_process = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batched = CampaignRunner(workers=_PARALLEL_WORKERS,
-                             backend="batched").run(
+    fan_out = CampaignRunner(workers=_PARALLEL_WORKERS,
+                             backend="serial").run(
         _MIXED_CONFIGS, name="backend-compare")
-    t_batched = time.perf_counter() - t0
+    t_fan_out = time.perf_counter() - t0
 
-    emit(f"backend comparison: {len(_MIXED_CONFIGS)} runs over 2 "
-         f"thermal-network groups, process-pool {t_pool:.2f}s vs "
-         f"batched {t_batched:.2f}s "
-         f"({t_pool / max(t_batched, 1e-9):.2f}x)")
-    assert pool.to_json() == batched.to_json()
-    # Loose floor only: batch scheduling must not collapse throughput.
-    assert t_batched < 5 * max(t_pool, 0.1)
+    emit(f"serial fan-out: {len(_MIXED_CONFIGS)} runs over 2 warm-up "
+         f"groups, 1 worker {t_in_process:.2f}s vs "
+         f"{_PARALLEL_WORKERS} workers {t_fan_out:.2f}s "
+         f"({t_in_process / max(t_fan_out, 1e-9):.2f}x)")
+    assert in_process.to_json() == fan_out.to_json()
+    # Loose floor only: slice scheduling must not collapse throughput.
+    assert t_fan_out < 5 * max(t_in_process, 0.1)
 
 
 # ----------------------------------------------------------------------
-# lockstep comparison: serial vs batched vs vectorized
+# lockstep comparison: serial vs vectorized
 # ----------------------------------------------------------------------
 
 def test_vectorized_backend_speedup_artifact():
-    """Serial vs batched vs vectorized on the threshold-sweep smoke
+    """In-process serial vs vectorized on the threshold-sweep smoke
     (sparse-exact), written as a JSON artifact when
     ``VECTORIZED_JSON=<path>`` is in the environment (CI points it at
     the committed ``BENCH_vectorized.json`` and uploads it).
@@ -131,8 +130,8 @@ def test_vectorized_backend_speedup_artifact():
     advances into one ``advance_batch`` mat-mat; its advantage over
     serial therefore scales with the thermal solver's share of the
     run — modest on the paper's small conf1 network, larger on big
-    floorplans — and unlike the multiprocessing backends it does not
-    need spare cores.  The artifact records configs/sec per backend
+    floorplans — and unlike a worker pool it does not need spare
+    cores.  The artifact records configs/sec and workers per backend
     plus the solver-artifact cache counters and the machine's core
     count, so numbers from different machines stay comparable.
     """
@@ -144,16 +143,20 @@ def test_vectorized_backend_speedup_artifact():
 
     timings = {}
     manifests = {}
-    for backend in ("serial", "batched", "vectorized"):
+    # serial on one worker: the in-process path the floor below has
+    # always compared vectorized against.
+    for backend, workers in (("serial", 1),
+                             ("vectorized", _PARALLEL_WORKERS)):
         clear_artifact_cache()
         t0 = time.perf_counter()
-        result = CampaignRunner(workers=_PARALLEL_WORKERS,
+        result = CampaignRunner(workers=workers,
                                 backend=backend).run(
             configs, name="bench-vectorized")
         elapsed = time.perf_counter() - t0
         stats = cache_stats()   # in-process counters; pool workers
         manifests[backend] = result.to_json()   # keep their own
         timings[backend] = {
+            "workers": workers,
             "elapsed_s": round(elapsed, 3),
             "configs_per_s": round(len(configs) / elapsed, 3),
             "cache_stats": {"hits": stats.hits, "misses": stats.misses,
@@ -162,7 +165,6 @@ def test_vectorized_backend_speedup_artifact():
         }
 
     # The backends are pure throughput knobs: byte-identical manifests.
-    assert manifests["serial"] == manifests["batched"]
     assert manifests["serial"] == manifests["vectorized"]
 
     serial_rate = timings["serial"]["configs_per_s"]
@@ -172,7 +174,6 @@ def test_vectorized_backend_speedup_artifact():
         "solver": "sparse-exact",
         "warmup_s": 2.0,
         "measure_s": 5.0,
-        "workers": _PARALLEL_WORKERS,
         "cpu_count": multiprocessing.cpu_count(),
         "backends": timings,
         "speedup_vs_serial": {

@@ -17,9 +17,10 @@ service, split into separable layers:
   without touching the runner.  :class:`SystemBuilder` composes the
   resolved components into a runnable system.
 * **Execution backends** (:mod:`repro.campaign.backends`) — pluggable
-  strategies for *how* a batch of simulations runs: ``serial``,
-  ``process-pool`` (per-config fan-out) and ``batched``
-  (network-sharing groups, one ``expm`` per group per worker).  All
+  strategies for *how* a batch of simulations runs: ``serial``
+  (warm-up groups, in-process or sliced over a worker pool),
+  ``vectorized`` (lockstep groups, one batched thermal advance per
+  sensor epoch) and ``distributed`` (the fabric below).  All
   backends are byte-identical in their results; they only trade
   wall-clock time.
 * **Result store** (:mod:`repro.campaign.store`) — a queryable SQLite
@@ -56,7 +57,7 @@ Adding a scenario end-to-end::
     def _factory(config):
         return MyPolicy(threshold_c=config.threshold_c)
 
-    result = CampaignRunner(workers=8, backend="batched").run(
+    result = CampaignRunner(workers=8).run(
         sweep(policy="my-policy", threshold_c=(1.0, 2.0, 3.0, 4.0),
               package=("mobile", "highperf")))
     print(result.to_text())

@@ -11,30 +11,26 @@ reports for the same configs (see the parity tests).
 
 Built-in backends, resolved by name through :data:`backend_registry`:
 
-* ``serial`` — in-process, through
-  :func:`~repro.experiments.runner.run_batch`: configs that differ only
-  in their policy simulate their policy-off warm-up once, and each
-  measures on its own fork of it; the process-wide propagator cache in
-  :mod:`repro.thermal.integrator` stays warm across all runs.
-* ``process-pool`` — one config per ``multiprocessing`` task,
-  round-robined over workers; best when configs are heterogeneous.
-  Tasks share no warm-up.
-* ``batched`` — groups configs that share thermal-solver artifacts
-  (same platform / package / core count / solver) and ships each group
-  to a worker whole, so the RC network's propagator artifacts are
-  built once per group instead of once per (worker, network)
-  encounter, and the worker runs its group through ``run_batch``, so
-  shared warm-ups run once.  Best for topology-diverse sweeps with
-  many runs per platform.
-* ``vectorized`` — groups like ``batched`` (plus sensor period and
-  phase timing) and runs each group's simulators *in lockstep*: at
-  every common sensor epoch the K per-config thermal advances collapse
-  into one :meth:`~repro.thermal.solvers.ThermalSolver.advance_batch`
-  mat-mat (see :mod:`repro.campaign.lockstep`).  Each distinct
-  warm-up runs once: the distinct warm-ups advance in lockstep, then
-  every config's fork of its warm-up.  Best for sweeps with many
-  configs per network — threshold sweeps, seed sweeps — on machines
-  with few cores.
+* ``serial`` — configs grouped by
+  :meth:`~repro.experiments.config.ExperimentConfig.warmup_key` and run
+  through :func:`~repro.experiments.runner.run_batch`: configs that
+  differ only in their policy simulate their policy-off warm-up once,
+  and each measures on its own fork of it.  With one worker it runs
+  in-process, where the process-wide propagator cache in
+  :mod:`repro.thermal.integrator` stays warm across all runs; with
+  more, each warm-up group is cut into slices of at most ⌈n/workers⌉
+  configs and the slices run largest first over a pool.
+* ``vectorized`` — groups configs by :func:`lockstep_group_key` (same
+  thermal network, sensor period and phase timing) and runs each
+  group's simulators *in lockstep*: at every common sensor epoch the K
+  per-config thermal advances collapse into one
+  :meth:`~repro.thermal.solvers.ThermalSolver.advance_batch` mat-mat
+  (see :mod:`repro.campaign.lockstep`).  Each distinct warm-up runs
+  once: the distinct warm-ups advance in lockstep, then every config's
+  fork of its warm-up.  With several workers whole groups fan out over
+  a pool.  Best for sweeps with many configs per network on the
+  solvers whose batch advance is a true mat-mat (``sparse-exact``,
+  ``reduced``).
 * ``distributed`` — the resumable campaign fabric
   (:mod:`repro.campaign.fabric`): configs are journaled to a durable
   SQLite queue, leased in lockstep-group batches by supervised worker
@@ -56,6 +52,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,21 +127,12 @@ class ExecutionBackend:
             "fork" if "fork" in methods else None)
 
 
-def _execute_one(config_dict: Dict) -> Dict:
-    """Worker entry point: one simulation, plain dicts in and out."""
+def _execute_group(config_dicts: List[Dict]) -> List[Dict]:
+    """Worker entry point: one slice of a warm-up group, run in order."""
     # Under a spawn/forkserver start method the worker re-imports from
     # scratch; pull in the in-repo modules that register extra
     # scenarios so their names validate.  (Fork workers inherit the
     # parent's registries and don't need this.)
-    from repro.experiments import ablation, figure1  # noqa: F401
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import run_experiment
-    config = ExperimentConfig.from_dict(config_dict)
-    return run_experiment(config).report.to_dict()
-
-
-def _execute_group(config_dicts: List[Dict]) -> List[Dict]:
-    """Worker entry point: one network-sharing group, run in order."""
     from repro.experiments import ablation, figure1  # noqa: F401
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_batch
@@ -152,94 +140,9 @@ def _execute_group(config_dicts: List[Dict]) -> List[Dict]:
     return [report.to_dict() for report in run_batch(configs)]
 
 
-@register_backend("serial")
-class SerialBackend(ExecutionBackend):
-    """In-process execution, one warm-up group after another."""
-
-    name = "serial"
-
-    def execute(self, configs: List["ExperimentConfig"],
-                workers: int) -> List[RunReport]:
-        from repro.experiments.runner import run_batch
-        return run_batch(configs)
-
-
-@register_backend("process-pool")
-class ProcessPoolBackend(ExecutionBackend):
-    """One config per pool task (the classic fan-out)."""
-
-    name = "process-pool"
-
-    def execute(self, configs: List["ExperimentConfig"],
-                workers: int) -> List[RunReport]:
-        if workers <= 1 or len(configs) <= 1:
-            return SerialBackend().execute(configs, workers)
-        with self._pool_context().Pool(min(workers, len(configs))) as pool:
-            dicts = pool.map(_execute_one,
-                             [config.to_dict() for config in configs])
-        return [RunReport(**d) for d in dicts]
-
-
-def network_group_key(config: "ExperimentConfig") -> Tuple:
-    """Grouping key: configs with equal keys share solver artifacts.
-
-    The network is built from the platform's floorplan/power
-    parameters, the package and the core count; the thermal solver
-    decides *which* per-network artifacts (dense propagator, sparse
-    operator, modal basis) a run warms up.  Together those four fields
-    decide whether two runs can share a worker's artifact cache.
-    """
-    return (config.platform, config.package, config.n_cores,
-            config.solver)
-
-
-@register_backend("batched")
-class BatchedBackend(ExecutionBackend):
-    """Network-sharing groups shipped to workers whole.
-
-    Each worker builds the RC network and its ``expm`` propagator once
-    per group (the process-wide integrator cache makes every run after
-    the group's first skip the matrix exponential), instead of paying
-    that cost once per (worker, network) pair as the per-config pool
-    does.  Groups are ordered largest-first so the pool stays busy.
-    """
-
-    name = "batched"
-
-    def execute(self, configs: List["ExperimentConfig"],
-                workers: int) -> List[RunReport]:
-        if workers <= 1 or len(configs) <= 1:
-            return SerialBackend().execute(configs, workers)
-        groups: Dict[Tuple, List[int]] = {}
-        for i, config in enumerate(configs):
-            groups.setdefault(network_group_key(config), []).append(i)
-        batches = sorted(groups.values(), key=len, reverse=True)
-        if len(batches) == 1:
-            # One network: a single batch would serialize everything —
-            # fall back to per-config fan-out (workers stay warm after
-            # their first run anyway).
-            return ProcessPoolBackend().execute(configs, workers)
-        with self._pool_context().Pool(min(workers, len(batches))) as pool:
-            results = pool.map(
-                _execute_group,
-                [[configs[i].to_dict() for i in batch]
-                 for batch in batches])
-        reports: List[RunReport] = [None] * len(configs)  # type: ignore
-        for batch, dicts in zip(batches, results):
-            for i, d in zip(batch, dicts):
-                reports[i] = RunReport(**d)
-        return reports
-
-
-def lockstep_group_key(config: "ExperimentConfig") -> Tuple:
-    """Grouping key for the ``vectorized`` backend.
-
-    Extends :func:`network_group_key` with the fields that must match
-    for simulators to hit sensor ticks at the same instants: the sensor
-    period and the two phase durations.
-    """
-    return network_group_key(config) + (
-        config.sensor_period_s, config.warmup_s, config.measure_s)
+#: perfbench's tracer wraps this name too (``perfbench/tracing.py``'s
+#: hook list); it goes once that list drops it.
+_execute_one = _execute_group
 
 
 def _execute_lockstep_group(config_dicts: List[Dict]) -> List[Dict]:
@@ -251,15 +154,93 @@ def _execute_lockstep_group(config_dicts: List[Dict]) -> List[Dict]:
     return [report.to_dict() for report in run_lockstep_group(configs)]
 
 
+def _groups(configs: List["ExperimentConfig"], key) -> List[List[int]]:
+    """Indices of ``configs`` grouped by ``key``, largest group first."""
+    groups: Dict[Tuple, List[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(key(config), []).append(i)
+    return sorted(groups.values(), key=len, reverse=True)
+
+
+def _warmup_slices(configs: List["ExperimentConfig"],
+                  workers: int) -> List[List[int]]:
+    """Indices of ``configs`` cut into pool tasks, largest first.
+
+    Each warm-up group (equal :meth:`ExperimentConfig.warmup_key`) is
+    cut into near-equal slices of at most ⌈n/workers⌉ configs, so
+    every worker has work and a slice still simulates its shared
+    warm-up only once.
+    """
+    size = -(-len(configs) // workers)
+    slices = []
+    for group in _groups(configs, lambda config: config.warmup_key()):
+        pieces = -(-len(group) // size)
+        bounds = [len(group) * j // pieces for j in range(pieces + 1)]
+        slices += [group[a:b] for a, b in zip(bounds, bounds[1:])]
+    return sorted(slices, key=len, reverse=True)
+
+
+def _fan_out(entry, configs: List["ExperimentConfig"],
+             batches: List[List[int]], workers: int) -> List[RunReport]:
+    """Run each batch of ``configs`` indices through ``entry`` in a pool.
+
+    Never more processes than batches, so no worker sits idle; the
+    batches are dispatched one at a time, in the order given.
+    """
+    with ExecutionBackend._pool_context().Pool(
+            min(workers, len(batches))) as pool:
+        results = pool.map(
+            entry, [[configs[i].to_dict() for i in batch]
+                    for batch in batches], chunksize=1)
+    reports: List[RunReport] = [None] * len(configs)  # type: ignore
+    for batch, dicts in zip(batches, results):
+        for i, d in zip(batch, dicts):
+            reports[i] = RunReport(**d)
+    return reports
+
+
+@register_backend("serial")
+class SerialBackend(ExecutionBackend):
+    """Warm-up groups, in-process or sliced over a pool.
+
+    With one worker, or one slice, everything runs in-process through
+    :func:`~repro.experiments.runner.run_batch`.  Otherwise the
+    :func:`_warmup_slices` fan out, one :func:`_execute_group` task
+    each.
+    """
+
+    name = "serial"
+
+    def execute(self, configs: List["ExperimentConfig"],
+                workers: int) -> List[RunReport]:
+        from repro.experiments.runner import run_batch
+        slices = _warmup_slices(configs, workers) if workers > 1 else []
+        if len(slices) <= 1:
+            return run_batch(configs)
+        return _fan_out(_execute_group, configs, slices, workers)
+
+
+def lockstep_group_key(config: "ExperimentConfig") -> Tuple:
+    """Grouping key for the ``vectorized`` backend.
+
+    Configs with equal keys share one thermal network and its solver
+    artifacts (platform, package, core count, solver) and hit their
+    sensor ticks at the same instants (sensor period and the two phase
+    durations).
+    """
+    return (config.platform, config.package, config.n_cores,
+            config.solver, config.sensor_period_s, config.warmup_s,
+            config.measure_s)
+
+
 @register_backend("vectorized")
 class VectorizedBackend(ExecutionBackend):
     """Lockstep groups: one mat-mat thermal advance per sensor epoch.
 
-    Unlike ``batched``, a single worker still benefits: the speedup
-    comes from collapsing K solver calls into one batched call
-    in-process, not from parallelism.  With multiple workers and
-    multiple groups, the groups fan out over a pool — never more
-    processes than groups, so no worker sits idle.
+    A single worker still benefits: the speedup comes from collapsing
+    K solver calls into one batched call in-process, not from
+    parallelism.  With multiple workers and multiple groups, whole
+    groups fan out over a pool; a group is never split.
     """
 
     name = "vectorized"
@@ -267,26 +248,15 @@ class VectorizedBackend(ExecutionBackend):
     def execute(self, configs: List["ExperimentConfig"],
                 workers: int) -> List[RunReport]:
         from repro.campaign.lockstep import run_lockstep_group
-        groups: Dict[Tuple, List[int]] = {}
-        for i, config in enumerate(configs):
-            groups.setdefault(lockstep_group_key(config), []).append(i)
-        batches = sorted(groups.values(), key=len, reverse=True)
+        groups = _groups(configs, lockstep_group_key)
+        if workers > 1 and len(groups) > 1:
+            return _fan_out(_execute_lockstep_group, configs, groups,
+                            workers)
         reports: List[RunReport] = [None] * len(configs)  # type: ignore
-        if workers <= 1 or len(batches) == 1:
-            for batch in batches:
-                group_reports = run_lockstep_group(
-                    [configs[i] for i in batch])
-                for i, report in zip(batch, group_reports):
-                    reports[i] = report
-            return reports
-        with self._pool_context().Pool(min(workers, len(batches))) as pool:
-            results = pool.map(
-                _execute_lockstep_group,
-                [[configs[i].to_dict() for i in batch]
-                 for batch in batches])
-        for batch, dicts in zip(batches, results):
-            for i, d in zip(batch, dicts):
-                reports[i] = RunReport(**d)
+        for group in groups:
+            group_reports = run_lockstep_group([configs[i] for i in group])
+            for i, report in zip(group, group_reports):
+                reports[i] = report
         return reports
 
 
@@ -324,14 +294,17 @@ class DistributedBackend(ExecutionBackend):
         if not configs:
             return []
         env_dir = os.environ.get("REPRO_QUEUE_DIR")
+        adhoc = False
         if env_dir:
             queue_dir = Path(env_dir)
         elif context is not None and context.cache_dir is not None:
             queue_dir = Path(context.cache_dir) / "queue"
         else:
             # No durable home: the journal still makes the run itself
-            # crash-consistent, it just won't survive into a resume.
+            # crash-consistent, it just won't survive into a resume,
+            # so the directory goes when the run ends.
             queue_dir = Path(tempfile.mkdtemp(prefix="repro-queue-"))
+            adhoc = True
         campaign = context.campaign if context is not None else "adhoc"
         coordinator = Coordinator(queue_dir)
         try:
@@ -340,3 +313,5 @@ class DistributedBackend(ExecutionBackend):
             return collect_reports(coordinator, configs)
         finally:
             coordinator.close()
+            if adhoc:
+                shutil.rmtree(queue_dir, ignore_errors=True)

@@ -22,7 +22,7 @@ per-run :class:`~repro.metrics.report.RunReport` into a
   fallback (and migrated into the store); corrupt manifests count as
   cache misses, never errors;
 * the execution strategy is a ``backend`` name (``serial``,
-  ``process-pool``, ``batched``, or anything registered in
+  ``vectorized``, ``distributed``, or anything registered in
   :data:`~repro.campaign.backends.backend_registry`).
 
 Runs are deterministic, so every backend produces byte-identical
@@ -120,6 +120,12 @@ class CampaignResult:
         return json.dumps(self.to_manifest(), indent=indent, sort_keys=True)
 
 
+def _checked_workers(workers: int) -> int:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return int(workers)
+
+
 class CampaignRunner:
     """Runs experiment configurations through a backend, with caching.
 
@@ -135,8 +141,8 @@ class CampaignRunner:
         artifact.  Legacy per-run ``<config_hash>.json`` manifests in
         the directory are honoured and migrated into the store.
     backend:
-        Execution backend name (default ``process-pool``, which
-        degrades to in-process serial execution when ``workers`` is 1).
+        Execution backend name (default ``serial``: in-process with
+        one worker, warm-up group slices over a pool with more).
     store:
         An explicit :class:`ResultStore` (overrides ``cache_dir``'s
         default store; handy for in-memory stores in tests).
@@ -144,11 +150,9 @@ class CampaignRunner:
 
     def __init__(self, workers: int = 1,
                  cache_dir: Optional[str] = None,
-                 backend: str = "process-pool",
+                 backend: str = "serial",
                  store: Optional[ResultStore] = None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = int(workers)
+        self.workers = _checked_workers(workers)
         self.backend = make_backend(backend)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._owns_store = store is None and self.cache_dir is not None
@@ -179,7 +183,8 @@ class CampaignRunner:
         config still gets its own report and store row.
         """
         t_start = time.perf_counter()
-        n_workers = self.workers if workers is None else int(workers)
+        n_workers = (self.workers if workers is None
+                     else _checked_workers(workers))
         engine = self.backend if backend is None else make_backend(backend)
         configs = list(configs)
 
@@ -322,7 +327,7 @@ _SHARED_RUNNERS: Dict[Tuple[Optional[str], str], CampaignRunner] = {}
 
 
 def shared_runner(cache_dir: Optional[str] = None,
-                  backend: str = "process-pool") -> CampaignRunner:
+                  backend: str = "serial") -> CampaignRunner:
     """A process-wide runner per (cache_dir, backend) pair.
 
     The analysis layers (figures, ablations, scaling) all read through

@@ -67,8 +67,9 @@ Environment knobs (all optional): ``REPRO_QUEUE_DIR`` pins the queue
 directory of the ``distributed`` backend, ``REPRO_FABRIC_LEASE_S`` and
 ``REPRO_FABRIC_RETRIES`` seed a *new* queue's lease timeout and retry
 budget (both become journal policy: workers opening an existing queue
-inherit its stored settings, not their own environment), and
-``REPRO_FABRIC_WORKER_BACKEND`` picks the in-worker execution backend.
+inherit its stored settings, not their own environment).  The
+in-worker execution backend is ``Coordinator(worker_backend=)`` or
+``repro worker --backend`` (default ``serial``).
 """
 
 from __future__ import annotations
@@ -626,7 +627,7 @@ def worker_store_path(queue_dir, worker_id: str) -> Path:
 
 
 def run_worker(queue_dir, worker_id: Optional[str] = None,
-               backend: Optional[str] = None, poll_s: float = 0.05,
+               backend: str = "serial", poll_s: float = 0.05,
                max_batches: Optional[int] = None,
                fault_hook: Optional[Callable[[str, List[QueueTask]],
                                              None]] = None) -> int:
@@ -652,8 +653,6 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
     from repro.experiments.config import ExperimentConfig
 
     worker_id = worker_id or f"w{os.getpid()}"
-    backend = backend or os.environ.get(
-        "REPRO_FABRIC_WORKER_BACKEND", "serial")
     queue = CampaignQueue(queue_dir)
     store = ResultStore(worker_store_path(queue_dir, worker_id))
     kill_after = _env_int("REPRO_FABRIC_KILL_AFTER", 0)
@@ -758,14 +757,13 @@ class Coordinator:
 
     def __init__(self, queue_dir, lease_timeout_s: Optional[float] = None,
                  retries: Optional[int] = None,
-                 worker_backend: Optional[str] = None,
+                 worker_backend: str = "serial",
                  poll_s: float = 0.05):
         self.queue_dir = Path(queue_dir)
         self.queue = CampaignQueue(queue_dir,
                                    lease_timeout_s=lease_timeout_s,
                                    retries=retries)
-        self.worker_backend = worker_backend or os.environ.get(
-            "REPRO_FABRIC_WORKER_BACKEND", "serial")
+        self.worker_backend = worker_backend
         self.poll_s = poll_s
 
     def close(self) -> None:

@@ -14,14 +14,15 @@ Regenerate any table or figure of the paper::
 
 Sweep many configurations through the campaign engine::
 
-    repro campaign threshold-sweep --workers 8 --backend batched
+    repro campaign threshold-sweep --workers 8
         Run a named campaign (see ``repro campaign --list-campaigns``
         or ``repro list``): ``smoke`` (2-run CI check), ``fig7`` /
         ``fig9`` (the paper's threshold sweeps), ``threshold-sweep``
         (both packages), ``scaling`` (2-6 cores).  ``--warmup`` /
-        ``--measure`` shorten the phases, ``--backend`` picks the
-        execution strategy (``serial``, ``process-pool``,
-        ``batched``), ``--solver`` the thermal solver
+        ``--measure`` shorten the phases, ``--workers`` spreads the
+        runs over processes, ``--backend`` picks the execution
+        strategy (``serial``, ``vectorized``, ``distributed``),
+        ``--solver`` the thermal solver
         (``dense-exact``, ``euler``, ``sparse-exact``, ``reduced`` —
         the sparse/reduced fast paths scale to large grid
         floorplans), ``--cache-dir`` persists completed runs in a
@@ -168,6 +169,18 @@ def _threshold(text: str) -> float:
     return value
 
 
+def _workers(text: str) -> int:
+    """Parse ``--workers``: a process count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("workers must be >= 1")
+    return value
+
+
 def _add_phase_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", type=float, default=None,
                    help="warm-up seconds (default 12.5)")
@@ -176,16 +189,16 @@ def _add_phase_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_workers_option(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_workers, default=1,
                    help="worker processes for the sweep (default 1)")
 
 
 def _add_engine_options(p: argparse.ArgumentParser) -> None:
     """The campaign-engine knobs every sweep command shares."""
     _add_workers_option(p)
-    p.add_argument("--backend", default="process-pool",
+    p.add_argument("--backend", default="serial",
                    choices=backend_registry.names(),
-                   help="execution backend (default process-pool)")
+                   help="execution backend (default serial)")
     _add_solver_option(p)
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="persist completed runs in DIR's SQLite result "
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile the run under cProfile: print the "
                         "hottest functions by cumulative time and write "
                         "a JSON artifact (default campaign_profile.json; "
-                        "in-process backends only show internals)")
+                        "only in-process --workers 1 shows internals)")
 
     p = sub.add_parser("sweep",
                        help="ad-hoc cartesian sweep through the "
@@ -393,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory of committed golden files "
                              "(default baselines/)")
         _add_workers_option(bp)
-        bp.add_argument("--backend", default="process-pool",
+        bp.add_argument("--backend", default="serial",
                         choices=backend_registry.names(),
-                        help="execution backend (default process-pool)")
+                        help="execution backend (default serial)")
         bp.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="serve already-simulated configs from "
                              "DIR's result store (and persist fresh "

@@ -54,7 +54,7 @@ class AblationRow:
 
 def _rows(labelled: Sequence[tuple], workers: int = 1,
 cache_dir: Optional[str] = None,
-backend: str = "process-pool") -> List[AblationRow]:
+backend: str = "serial") -> List[AblationRow]:
     """Run ``(label, config)`` pairs through the campaign engine."""
     labels = [label for label, _ in labelled]
     configs = [config for _, config in labelled]
@@ -115,7 +115,7 @@ def ablation_candidate_filter(base: Optional[ExperimentConfig] = None,
                               package: str = "highperf",
                               workers: int = 1,
                               cache_dir: Optional[str] = None,
-                              backend: str = "process-pool",
+                              backend: str = "serial",
                               ) -> List[AblationRow]:
     """Full policy vs condition-2-free variant."""
     base = base or ExperimentConfig()
@@ -131,7 +131,7 @@ def ablation_top_k(base: Optional[ExperimentConfig] = None,
                    threshold_c: float = 2.0,
                    workers: int = 1,
                    cache_dir: Optional[str] = None,
-                   backend: str = "process-pool") -> List[AblationRow]:
+                   backend: str = "serial") -> List[AblationRow]:
     """Phase-2 search width (the paper prunes to the top few loads)."""
     base = base or ExperimentConfig()
     return _rows([(f"top_k={k}",
@@ -144,7 +144,7 @@ def ablation_strategy(base: Optional[ExperimentConfig] = None,
                       threshold_c: float = 2.0,
                       workers: int = 1,
                       cache_dir: Optional[str] = None,
-                      backend: str = "process-pool") -> List[AblationRow]:
+                      backend: str = "serial") -> List[AblationRow]:
     """Replication vs recreation with the full policy running."""
     base = base or ExperimentConfig()
     return _rows([(strategy,
@@ -160,7 +160,7 @@ def ablation_queue_capacity(base: Optional[ExperimentConfig] = None,
                             threshold_c: float = 3.0,
                             workers: int = 1,
                             cache_dir: Optional[str] = None,
-                            backend: str = "process-pool",
+                            backend: str = "serial",
                             ) -> List[AblationRow]:
     """Pipeline buffering against stalls (Sec. 5.2's queue discussion)."""
     base = base or ExperimentConfig()
@@ -177,7 +177,7 @@ def ablation_sensor_period(base: Optional[ExperimentConfig] = None,
                            package: str = "highperf",
                            workers: int = 1,
                            cache_dir: Optional[str] = None,
-                           backend: str = "process-pool") -> List[AblationRow]:
+                           backend: str = "serial") -> List[AblationRow]:
     """Sensor rate: slower monitoring loosens the balance the policy
     can hold, especially on the fast package."""
     base = base or ExperimentConfig()
@@ -193,7 +193,7 @@ def ablation_sensor_noise(base: Optional[ExperimentConfig] = None,
                           threshold_c: float = 2.0,
                           workers: int = 1,
                           cache_dir: Optional[str] = None,
-                          backend: str = "process-pool") -> List[AblationRow]:
+                          backend: str = "serial") -> List[AblationRow]:
     """Robustness to sensor noise: the policy reads noisy temperatures
     while the metrics measure ground truth.  Balance should degrade
     gracefully, with noise comparable to the threshold causing spurious
@@ -210,7 +210,7 @@ def ablation_load_jitter(base: Optional[ExperimentConfig] = None,
                          threshold_c: float = 2.0,
                          workers: int = 1,
                          cache_dir: Optional[str] = None,
-                         backend: str = "process-pool") -> List[AblationRow]:
+                         backend: str = "serial") -> List[AblationRow]:
     """Data-dependent workload: per-frame cycle costs vary by +-j while
     the policy plans with the nominal loads.  Balance and QoS should
     hold for realistic variation levels."""
@@ -225,7 +225,7 @@ def ablation_stopgo_variant(base: Optional[ExperimentConfig] = None,
                             threshold_c: float = 3.0,
                             workers: int = 1,
                             cache_dir: Optional[str] = None,
-                            backend: str = "process-pool",
+                            backend: str = "serial",
                             ) -> List[AblationRow]:
     """The paper's modified Stop&Go (relative thresholds) vs the
     original (absolute panic temperature + resume timeout, [5])."""
@@ -241,7 +241,7 @@ def ablation_platform(base: Optional[ExperimentConfig] = None,
                       threshold_c: float = 3.0,
                       workers: int = 1,
                       cache_dir: Optional[str] = None,
-                      backend: str = "process-pool") -> List[AblationRow]:
+                      backend: str = "serial") -> List[AblationRow]:
     """Conf1 (streaming cores, 0.5 W) vs Conf2 (ARM11-class, 0.27 W)
     under the full policy — lower-power cores leave a smaller gradient
     to balance in the first place."""

@@ -5,10 +5,11 @@ paper plots.  The simulation sweeps behind Figs. 7-11 are driven
 through a shared :class:`~repro.campaign.CampaignRunner`, whose
 config-hash cache ensures that e.g. Fig. 7 and Fig. 8 (same runs,
 different metric) do not simulate twice, whose ``workers`` /
-``backend`` knobs parallelize a sweep (``repro fig7 --workers 8
---backend batched``), and whose ``cache_dir`` reads through the
-persistent result store — ``repro fig7 --cache-dir DIR`` regenerates
-the figure from stored rows and only simulates missing configs.
+``backend`` knobs parallelize a sweep (``repro fig7 --workers 8``
+spreads its warm-up groups over 8 processes), and whose ``cache_dir``
+reads through the persistent result store — ``repro fig7 --cache-dir
+DIR`` regenerates the figure from stored rows and only simulates
+missing configs.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def run_matrix(package: str,
                base: Optional[ExperimentConfig] = None,
                workers: int = 1,
                cache_dir: Optional[str] = None,
-               backend: str = "process-pool",
+               backend: str = "serial",
                ) -> Dict[Tuple[str, float], RunReport]:
     """All (policy, threshold) reports for one package.
 
@@ -120,7 +121,7 @@ def _policy_series(package: str, metric, thresholds: Sequence[float],
                    base: Optional[ExperimentConfig],
                    workers: int = 1,
                    cache_dir: Optional[str] = None,
-                   backend: str = "process-pool",
+                   backend: str = "serial",
                    ) -> Dict[str, List[float]]:
     matrix = run_matrix(package, thresholds, policies, base, workers,
                         cache_dir, backend)
@@ -172,7 +173,7 @@ def figure7(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
             base: Optional[ExperimentConfig] = None,
             workers: int = 1,
             cache_dir: Optional[str] = None,
-            backend: str = "process-pool") -> FigureSeries:
+            backend: str = "serial") -> FigureSeries:
     """Temperature standard deviation, mobile embedded package."""
     series = _policy_series(
         "mobile", lambda r: r.pooled_std_c, thresholds,
@@ -188,7 +189,7 @@ def figure8(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
             base: Optional[ExperimentConfig] = None,
             workers: int = 1,
             cache_dir: Optional[str] = None,
-            backend: str = "process-pool") -> FigureSeries:
+            backend: str = "serial") -> FigureSeries:
     """Deadline misses, mobile embedded package."""
     series = _policy_series(
         "mobile", lambda r: float(r.deadline_misses), thresholds,
@@ -204,7 +205,7 @@ def figure9(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
             base: Optional[ExperimentConfig] = None,
             workers: int = 1,
             cache_dir: Optional[str] = None,
-            backend: str = "process-pool") -> FigureSeries:
+            backend: str = "serial") -> FigureSeries:
     """Temperature standard deviation, high-performance package."""
     series = _policy_series(
         "highperf", lambda r: r.pooled_std_c, thresholds,
@@ -220,7 +221,7 @@ def figure10(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
              base: Optional[ExperimentConfig] = None,
              workers: int = 1,
              cache_dir: Optional[str] = None,
-             backend: str = "process-pool") -> FigureSeries:
+             backend: str = "serial") -> FigureSeries:
     """Deadline misses, high-performance package."""
     series = _policy_series(
         "highperf", lambda r: float(r.deadline_misses), thresholds,
@@ -236,7 +237,7 @@ def figure11(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
              base: Optional[ExperimentConfig] = None,
              workers: int = 1,
              cache_dir: Optional[str] = None,
-             backend: str = "process-pool") -> FigureSeries:
+             backend: str = "serial") -> FigureSeries:
     """Migrations per second of the balancing policy, both packages."""
     xs = [float(t) for t in thresholds]
     series: Dict[str, List[float]] = {}

@@ -50,7 +50,7 @@ def scaling_study(core_counts: Sequence[int] = (2, 3, 4, 5, 6),
                   base: Optional[ExperimentConfig] = None,
                   workers: int = 1,
                   cache_dir: Optional[str] = None,
-                  backend: str = "process-pool") -> List[ScalingRow]:
+                  backend: str = "serial") -> List[ScalingRow]:
     """Run the policy-vs-static comparison for each core count.
 
     All (core count x policy) runs go through one campaign, so

@@ -4,6 +4,7 @@ store-backed CampaignRunner."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.campaign import (
     expand_campaign,
     sweep,
 )
-from repro.campaign.backends import lockstep_group_key, network_group_key
+from repro.campaign.backends import lockstep_group_key
 from repro.campaign.engine import STORE_FILENAME
 from repro.experiments.config import THRESHOLD_SWEEP_C, ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -235,15 +236,27 @@ class TestCampaignRunner:
         with pytest.raises(ValueError):
             CampaignRunner(workers=0)
 
+    def test_invalid_run_workers_rejected(self):
+        runner = CampaignRunner()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            runner.run([ExperimentConfig(**SHORT)], workers=0)
+
 
 class TestExecutionBackends:
     def test_builtin_backends_registered(self):
-        assert {"serial", "process-pool", "batched", "vectorized"} <= \
-            set(backend_registry)
+        assert set(backend_registry) == {"serial", "vectorized",
+                                         "distributed"}
 
     def test_unknown_backend_lists_names(self):
-        with pytest.raises(ValueError, match="batched"):
+        with pytest.raises(ValueError, match="vectorized"):
             CampaignRunner(backend="quantum")
+
+    @pytest.mark.parametrize("name", ["process-pool", "batched"])
+    def test_removed_backends_are_unknown(self, name):
+        from repro.campaign.backends import make_backend
+        with pytest.raises(ValueError) as err:
+            make_backend(name)
+        assert "distributed, serial, vectorized" in str(err.value)
 
     def test_unknown_backend_lists_names_sorted(self):
         """The error enumerates every backend, alphabetically."""
@@ -254,35 +267,37 @@ class TestExecutionBackends:
         listed = str(err.value).split(":")[-1]
         assert [n.strip() for n in listed.split(",")] == names
 
-    def test_network_group_key_groups_by_thermal_network(self):
+    def test_lockstep_group_key_groups_by_thermal_network(self):
         a = ExperimentConfig(policy="energy", **SHORT)
         b = a.variant(policy="migra", threshold_c=1.0)     # same network
         c = a.variant(platform="conf2")                    # different
         d = a.variant(n_cores=4, n_bands=4)                # different
         e = a.variant(solver="sparse-exact")       # different artifacts
-        assert network_group_key(a) == network_group_key(b)
-        assert network_group_key(a) != network_group_key(c)
-        assert network_group_key(a) != network_group_key(d)
-        assert network_group_key(a) != network_group_key(e)
+        assert lockstep_group_key(a) == lockstep_group_key(b)
+        assert lockstep_group_key(a) != lockstep_group_key(c)
+        assert lockstep_group_key(a) != lockstep_group_key(d)
+        assert lockstep_group_key(a) != lockstep_group_key(e)
 
     def test_backend_parity_mixed_platform_campaign(self):
-        """Acceptance: serial, process-pool and batched backends
-        produce byte-identical manifests on a campaign mixing two
-        platforms (hence two thermal-network groups)."""
+        """Acceptance: the serial backend produces byte-identical
+        manifests at 1, 2 and 3 workers on a campaign mixing two
+        platforms (hence two warm-up groups, sliced over the pool)."""
         base = ExperimentConfig(**SHORT)
         configs = (sweep(base, platform="conf1",
                          policy=("energy", "migra")) +
                    sweep(base, platform="conf1-grid",
                          policy=("energy", "migra")))
         manifests = {}
-        for backend in ("serial", "process-pool", "batched"):
-            result = CampaignRunner(workers=3, backend=backend).run(
+        for workers in (1, 2, 3):
+            result = CampaignRunner(workers=workers,
+                                    backend="serial").run(
                 configs, name="parity")
             assert result.n_cached == 0
-            assert result.backend == backend
-            manifests[backend] = result.to_json()
-        assert manifests["serial"] == manifests["process-pool"]
-        assert manifests["serial"] == manifests["batched"]
+            assert result.backend == "serial"
+            assert result.workers == workers
+            manifests[workers] = result.to_json()
+        assert manifests[1] == manifests[2]
+        assert manifests[1] == manifests[3]
 
     def test_lockstep_group_key_extends_network_key(self):
         a = ExperimentConfig(policy="energy", **SHORT)
@@ -292,8 +307,10 @@ class TestExecutionBackends:
         assert lockstep_group_key(a) == lockstep_group_key(b)
         assert lockstep_group_key(a) != lockstep_group_key(c)
         assert lockstep_group_key(a) != lockstep_group_key(d)
-        assert lockstep_group_key(a)[:len(network_group_key(a))] == \
-            network_group_key(a)
+        # The fabric journals this tuple, so its layout is pinned.
+        assert lockstep_group_key(a) == (
+            "conf1", "mobile", 3, "dense-exact", a.sensor_period_s,
+            1.5, 1.5)
 
     @pytest.mark.parametrize("solver",
                              ["dense-exact", "sparse-exact", "reduced"])
@@ -349,6 +366,124 @@ class TestExecutionBackends:
             staticmethod(lambda: SpyContext(real())))
         backends_mod.make_backend("vectorized").execute(configs, workers=8)
         assert sizes == [2]   # two groups, not eight workers
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_serial_slices_follow_warmup_groups(self, monkeypatch,
+                                                workers):
+        """With workers > 1, serial partitions the configs into slices
+        of one warm-up key each, none above ceil(n / workers)."""
+        from repro.campaign import backends as backends_mod
+        base = ExperimentConfig(**SHORT)
+        configs = (sweep(base, policy=("migra", "stopgo"),
+                         threshold_c=(1.0, 2.0, 3.0)) +
+                   sweep(base, package="highperf", policy="migra",
+                         threshold_c=(1.0, 2.0)) +
+                   sweep(base, seed=5, policy="migra"))
+        captured = []
+        real = backends_mod._fan_out
+
+        def spy(entry, configs, batches, workers):
+            captured.append((entry, batches))
+            return real(entry, configs, batches, workers)
+
+        monkeypatch.setattr(backends_mod, "_fan_out", spy)
+        reports = backends_mod.make_backend("serial").execute(
+            configs, workers=workers)
+        [(entry, slices)] = captured
+        assert entry is backends_mod._execute_group
+        assert sorted(i for piece in slices for i in piece) == \
+            list(range(len(configs)))
+        limit = -(-len(configs) // workers)
+        for piece in slices:
+            assert 0 < len(piece) <= limit
+            assert len({configs[i].warmup_key() for i in piece}) == 1
+        assert [len(piece) for piece in slices] == \
+            sorted((len(piece) for piece in slices), reverse=True)
+        assert [r.to_dict() for r in reports] == \
+            [r.to_dict() for r in backends_mod.make_backend(
+                "serial").execute(configs, workers=1)]
+
+    def test_serial_splits_one_warmup_group_over_the_pool(
+            self, monkeypatch):
+        """9 configs sharing one warm-up on 2 workers: 2 processes."""
+        from repro.campaign import backends as backends_mod
+        configs = sweep(ExperimentConfig(**SHORT), policy="migra",
+                        threshold_c=tuple(float(t) for t in range(1, 10)))
+        assert len({config.warmup_key() for config in configs}) == 1
+        sizes = []
+        captured = []
+        real_fan_out = backends_mod._fan_out
+        real_context = backends_mod.ExecutionBackend._pool_context
+
+        class SpyContext:
+            def __init__(self, ctx):
+                self._ctx = ctx
+
+            def Pool(self, processes):
+                sizes.append(processes)
+                return self._ctx.Pool(processes)
+
+        def spy(entry, configs, batches, workers):
+            captured.append([len(batch) for batch in batches])
+            return real_fan_out(entry, configs, batches, workers)
+
+        monkeypatch.setattr(backends_mod, "_fan_out", spy)
+        monkeypatch.setattr(
+            backends_mod.ExecutionBackend, "_pool_context",
+            staticmethod(lambda: SpyContext(real_context())))
+        backends_mod.make_backend("serial").execute(configs, workers=2)
+        assert captured == [[5, 4]]
+        assert sizes == [2]
+
+    def test_serial_single_slice_stays_in_process(self, monkeypatch):
+        """One config on 4 workers opens no pool."""
+        from repro.campaign import backends as backends_mod
+
+        def no_pool(*args):
+            raise AssertionError("opened a pool for one slice")
+
+        monkeypatch.setattr(backends_mod, "_fan_out", no_pool)
+        [report] = backends_mod.make_backend("serial").execute(
+            [ExperimentConfig(**SHORT)], workers=4)
+        assert report.to_dict() == \
+            run_experiment(ExperimentConfig(**SHORT)).report.to_dict()
+
+
+class TestDistributedQueueDir:
+    def test_adhoc_queue_dir_is_removed(self, tmp_path, monkeypatch):
+        """Without cache_dir or REPRO_QUEUE_DIR the journal lives in a
+        temporary directory that is gone once the run ends."""
+        import tempfile
+        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        created = []
+        real = tempfile.mkdtemp
+
+        def recording(*args, **kwargs):
+            created.append(real(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording)
+        configs = [ExperimentConfig(**SHORT)]
+        result = CampaignRunner(backend="distributed").run(configs)
+        assert result.to_json() == \
+            CampaignRunner(backend="serial").run(configs).to_json()
+        [queue_dir] = [d for d in created
+                       if Path(d).name.startswith("repro-queue-")]
+        assert Path(queue_dir).parent == tmp_path
+        assert not Path(queue_dir).exists()
+        assert not list(tmp_path.glob("repro-queue-*"))
+
+    def test_cache_dir_queue_is_kept_for_resume(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
+        runner = CampaignRunner(backend="distributed",
+                                cache_dir=str(tmp_path / "cache"))
+        try:
+            runner.run([ExperimentConfig(**SHORT)])
+        finally:
+            runner.close()
+        assert (tmp_path / "cache" / "queue" / "queue.sqlite").is_file()
 
 
 class TestIncrementalAnalysis:

@@ -148,11 +148,21 @@ class TestCampaignCommands:
         parser = build_parser()
         for command in (["campaign", "smoke"], ["sweep"], ["fig7"],
                         ["ablation", "top-k"], ["scaling"]):
-            args = parser.parse_args(command + ["--backend", "batched"])
-            assert args.backend == "batched"
+            args = parser.parse_args(command + ["--backend", "vectorized"])
+            assert args.backend == "vectorized"
             assert args.cache_dir is None
-        with pytest.raises(SystemExit):
-            parser.parse_args(["campaign", "smoke", "--backend", "bogus"])
+        for backend in ("bogus", "process-pool", "batched"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["campaign", "smoke",
+                                   "--backend", backend])
+
+    def test_removed_backend_exits_2_listing_choices(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "smoke", "--backend", "process-pool"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'process-pool'" in err
+        assert "'distributed', 'serial', 'vectorized'" in err
 
     def test_campaign_serial_backend_runs(self, capsys):
         assert main(["campaign", "smoke", "--warmup", "2",
@@ -562,6 +572,33 @@ class TestBadPhases:
             main(["fig7", "--warmup", "nan"])
         assert exit_info.value.code == 2
         assert "warmup_s" in capsys.readouterr().err
+
+
+class TestBadWorkers:
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "smoke", "--workers", "0"],
+        ["sweep", "--workers", "0"],
+        ["fig7", "--workers", "0"],
+        ["ablation", "top-k", "--workers", "-1"],
+        ["scaling", "--workers", "0"],
+        ["baseline", "check", "smoke", "--workers", "0"],
+        ["baseline", "record", "smoke", "--workers", "0"],
+    ])
+    def test_every_workers_flag_exits_2(self, argv, capsys):
+        # `campaign`/`sweep --workers 0` ended in a ValueError
+        # traceback; `fig7`, `ablation`, `scaling` and `baseline check`
+        # ran on one worker and exited 0.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --workers: workers must be >= 1" \
+            in capsys.readouterr().err
+
+    def test_non_integer_workers_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--workers", "two"])
+        assert exit_info.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
 
 
 class TestBadThresholds:

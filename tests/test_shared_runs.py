@@ -76,7 +76,7 @@ def distinct_runs(configs):
 
 
 @pytest.mark.parametrize("backend, workers",
-                         [("serial", 1), ("process-pool", 2)])
+                         [("serial", 1), ("serial", 2)])
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
