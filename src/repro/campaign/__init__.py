@@ -26,8 +26,8 @@ service, split into separable layers:
 * **Result store** (:mod:`repro.campaign.store`) — a queryable SQLite
   table of completed runs (one flat row per run, keyed by config hash
   and campaign name) that doubles as the cross-session cache and the
-  export surface (CSV, legacy JSON manifests); remotely produced rows
-  import through the idempotent :meth:`ResultStore.merge_from`.
+  CSV export surface; remotely produced rows import through the
+  idempotent :meth:`ResultStore.merge_from`.
 * **Campaign fabric** (:mod:`repro.campaign.fabric`) — a durable
   SQLite work queue plus coordinator/worker loops behind the
   ``distributed`` backend: campaigns journal their configs, fan out

@@ -51,7 +51,6 @@ New backends plug in without touching the runner::
 from __future__ import annotations
 
 import multiprocessing
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -264,11 +263,11 @@ class VectorizedBackend(ExecutionBackend):
 class DistributedBackend(ExecutionBackend):
     """Coordinator + N worker processes over a durable queue.
 
-    Configs are journaled to ``queue.sqlite`` (in
-    ``<cache_dir>/queue``, overridable via ``REPRO_QUEUE_DIR``), local
-    workers lease lockstep-group batches and stream rows into
-    per-worker stores, and the coordinator merges them back
-    idempotently.  Every hot path is set-at-a-time SQL — one
+    Configs are journaled to ``queue.sqlite`` (in ``<cache_dir>/queue``,
+    or in a temporary directory removed when a run without a
+    ``cache_dir`` ends), local workers lease lockstep-group batches and
+    stream rows into per-worker stores, and the coordinator merges them
+    back idempotently.  Every hot path is set-at-a-time SQL — one
     ``executemany`` transaction per enqueue, a buffered per-lease row
     flush, one ``ATTACH``-based ``INSERT … SELECT`` per worker-store
     merge, WAL journals on both databases — so the fabric's own I/O
@@ -293,18 +292,12 @@ class DistributedBackend(ExecutionBackend):
         from repro.campaign.fabric import Coordinator, collect_reports
         if not configs:
             return []
-        env_dir = os.environ.get("REPRO_QUEUE_DIR")
-        adhoc = False
-        if env_dir:
-            queue_dir = Path(env_dir)
-        elif context is not None and context.cache_dir is not None:
-            queue_dir = Path(context.cache_dir) / "queue"
-        else:
-            # No durable home: the journal still makes the run itself
-            # crash-consistent, it just won't survive into a resume,
-            # so the directory goes when the run ends.
-            queue_dir = Path(tempfile.mkdtemp(prefix="repro-queue-"))
-            adhoc = True
+        # Without a cache_dir the journal still makes the run itself
+        # crash-consistent, but nothing resumes from it, so its
+        # directory goes when the run ends.
+        adhoc = context is None or context.cache_dir is None
+        queue_dir = (Path(tempfile.mkdtemp(prefix="repro-queue-")) if adhoc
+                     else Path(context.cache_dir) / "queue")
         campaign = context.campaign if context is not None else "adhoc"
         coordinator = Coordinator(queue_dir)
         try:

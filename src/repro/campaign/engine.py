@@ -18,9 +18,6 @@ per-run :class:`~repro.metrics.report.RunReport` into a
   queryable :class:`~repro.campaign.store.ResultStore`
   (``results.sqlite``), so re-running a sweep only simulates the
   configurations that changed — across processes and sessions;
-* legacy per-run JSON manifests in ``cache_dir`` are read as a
-  fallback (and migrated into the store); corrupt manifests count as
-  cache misses, never errors;
 * the execution strategy is a ``backend`` name (``serial``,
   ``vectorized``, ``distributed``, or anything registered in
   :data:`~repro.campaign.backends.backend_registry`).
@@ -38,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.backends import ExecutionContext, make_backend
-from repro.campaign.store import ResultStore, load_manifest
+from repro.campaign.store import ResultStore
 from repro.metrics.report import RunReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -138,8 +135,7 @@ class CampaignRunner:
         :class:`~repro.campaign.store.ResultStore`
         (``results.sqlite``).  Serves as a cross-process,
         cross-session cache and as the campaign's queryable result
-        artifact.  Legacy per-run ``<config_hash>.json`` manifests in
-        the directory are honoured and migrated into the store.
+        artifact.
     backend:
         Execution backend name (default ``serial``: in-process with
         one worker, warm-up group slices over a pool with more).
@@ -175,8 +171,7 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     def run(self, configs: Iterable[ExperimentConfig],
             name: str = "campaign",
-            workers: Optional[int] = None,
-            backend: Optional[str] = None) -> CampaignResult:
+            workers: Optional[int] = None) -> CampaignResult:
         """Run every configuration (deduplicated by config hash).
 
         Configs left to run that share a run key simulate once; every
@@ -185,7 +180,6 @@ class CampaignRunner:
         t_start = time.perf_counter()
         n_workers = (self.workers if workers is None
                      else _checked_workers(workers))
-        engine = self.backend if backend is None else make_backend(backend)
         configs = list(configs)
 
         unique: Dict[str, ExperimentConfig] = {}
@@ -235,13 +229,14 @@ class CampaignRunner:
         # execution context — campaign name plus cache_dir, the home
         # of their queue journal; plain backends keep the two-argument
         # protocol untouched.
-        execute_in_context = getattr(engine, "execute_in_context", None)
+        execute_in_context = getattr(self.backend, "execute_in_context",
+                                     None)
         if execute_in_context is not None:
             context = ExecutionContext(cache_dir=self.cache_dir,
                                        campaign=name)
             fresh = execute_in_context(to_run, n_workers, context)
         else:
-            fresh = engine.execute(to_run, n_workers)
+            fresh = self.backend.execute(to_run, n_workers)
         # Collect path: buffer the fresh rows and journal them in one
         # put_many transaction per campaign, not one commit per run.
         collect_writer = (self.store.buffered(campaign=name)
@@ -267,57 +262,18 @@ class CampaignRunner:
                 for config in configs]
         return CampaignResult(name=name, runs=runs, workers=n_workers,
                               elapsed_s=time.perf_counter() - t_start,
-                              backend=engine.name)
-
-    def run_one(self, config: ExperimentConfig) -> RunReport:
-        """Run (or fetch) a single configuration's report."""
-        key = config.config_hash()
-        report = self._cached(key)
-        if report is None:
-            from repro.experiments.runner import run_experiment
-            report = run_experiment(config).report
-            self._store(key, config, report)
-        return report
+                              backend=self.backend.name)
 
     # ------------------------------------------------------------------
     # cache
     # ------------------------------------------------------------------
-    def clear_cache(self) -> None:
-        """Drop the in-memory cache (the persistent store is kept)."""
-        self._memory.clear()
-
     def _cached(self, key: str) -> Optional[RunReport]:
         report = self._memory.get(key)
-        if report is not None:
-            return report
-        if self.store is not None:
+        if report is None and self.store is not None:
             report = self.store.get(key)
             if report is not None:
                 self._memory[key] = report
-                return report
-        if self.cache_dir is not None:
-            # Legacy per-run manifest fallback: parse tolerantly (a
-            # corrupt/truncated file is a miss) and migrate hits into
-            # the store so the next lookup is one SQL query.
-            path = self.cache_dir / f"{key}.json"
-            if path.is_file():
-                parsed = load_manifest(path)
-                if parsed is None:
-                    return None
-                _, config_dict, report = parsed
-                if self.store is not None:
-                    self.store.put(key, config_dict, report,
-                                   campaign="imported")
-                self._memory[key] = report
-                return report
-        return None
-
-    def _store(self, key: str, config: ExperimentConfig,
-               report: RunReport, campaign: str = "adhoc") -> None:
-        self._memory[key] = report
-        if self.store is not None:
-            self.store.put(key, config.to_dict(), report,
-                           campaign=campaign)
+        return report
 
 
 # ----------------------------------------------------------------------

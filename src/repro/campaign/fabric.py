@@ -63,13 +63,13 @@ job):
 Both fire on the one write path every worker runs, so the fault suite
 tests the code that ships.
 
-Environment knobs (all optional): ``REPRO_QUEUE_DIR`` pins the queue
-directory of the ``distributed`` backend, ``REPRO_FABRIC_LEASE_S`` and
-``REPRO_FABRIC_RETRIES`` seed a *new* queue's lease timeout and retry
-budget (both become journal policy: workers opening an existing queue
-inherit its stored settings, not their own environment).  The
-in-worker execution backend is ``Coordinator(worker_backend=)`` or
-``repro worker --backend`` (default ``serial``).
+Environment knobs (both optional): ``REPRO_FABRIC_LEASE_S`` seeds a
+*new* queue's lease timeout (it becomes journal policy: workers
+opening an existing queue inherit its stored setting, not their own
+environment), and ``REPRO_FABRIC_KILL_AFTER`` is the fault injection
+above.  The in-worker execution backend is
+``Coordinator(worker_backend=)`` or ``repro worker --backend`` (default
+``serial``).
 """
 
 from __future__ import annotations
@@ -180,9 +180,8 @@ class CampaignQueue:
     ``None`` reads back whatever the queue was created with — so the
     coordinator decides the policy once and every worker that opens
     the same queue (even in another process, with a different
-    environment) inherits it.  ``REPRO_FABRIC_LEASE_S`` /
-    ``REPRO_FABRIC_RETRIES`` only seed a queue that has no stored
-    policy yet.
+    environment) inherits it.  ``REPRO_FABRIC_LEASE_S`` only seeds a
+    queue that has no stored lease timeout yet.
     """
 
     def __init__(self, queue_dir, lease_timeout_s: Optional[float] = None,
@@ -209,8 +208,7 @@ class CampaignQueue:
                 _env_float("REPRO_FABRIC_LEASE_S",
                            DEFAULT_LEASE_TIMEOUT_S))
             self.retries = int(self._resolve_setting(
-                "retries", retries,
-                _env_int("REPRO_FABRIC_RETRIES", DEFAULT_RETRIES)))
+                "retries", retries, DEFAULT_RETRIES))
             self.backoff_s = self._resolve_setting(
                 "backoff_s", backoff_s, DEFAULT_BACKOFF_S)
             self._conn.commit()

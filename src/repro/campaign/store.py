@@ -13,9 +13,7 @@ re-running or re-aggregating anything:
   ``repro fig7 --cache-dir DIR`` only simulates configs with no stored
   row;
 * ``repro results`` lists campaigns, shows/filters runs and exports
-  CSV; :meth:`ResultStore.import_manifests` /
-  :meth:`ResultStore.export_manifests` round-trip the pre-store
-  per-run JSON manifests for back-compat;
+  CSV;
 * rows produced remotely (the campaign fabric's workers,
   :mod:`repro.campaign.fabric`) import through the idempotent
   :meth:`ResultStore.merge_from`, keyed by ``(config_hash,
@@ -323,30 +321,6 @@ class ResultStore:
             Path(path).write_text(text)
         return text
 
-    def export_manifests(self, directory: str,
-                         campaign: Optional[str] = None,
-                         where: Optional[str] = None) -> int:
-        """Write one legacy ``<config_hash>.json`` manifest per config.
-
-        Back-compat with pre-store tooling; accepts the same filters
-        as :meth:`runs`.  Manifests are keyed by config hash alone, so
-        a config stored under several campaigns yields one file;
-        returns the count of files written.
-        """
-        out_dir = Path(directory)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = set()
-        for run in self.runs(campaign=campaign, where=where):
-            if run.config_hash in written:
-                continue
-            manifest = {"config_hash": run.config_hash,
-                        "config": run.config,
-                        "report": run.report.to_dict()}
-            (out_dir / f"{run.config_hash}.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True))
-            written.add(run.config_hash)
-        return len(written)
-
     # ------------------------------------------------------------------
     # merging (the distributed-campaign import path)
     # ------------------------------------------------------------------
@@ -476,25 +450,6 @@ class ResultStore:
             only_a=sorted(set(runs_a) - set(runs_b)),
             only_b=sorted(set(runs_b) - set(runs_a)))
 
-    def import_manifests(self, directory: str,
-                         campaign: str = "imported") -> Tuple[int, int]:
-        """Load legacy per-run JSON manifests into the store.
-
-        Corrupt or truncated manifests are skipped, not fatal — a
-        damaged cache entry is just a future cache miss.  Returns
-        ``(imported, skipped)``.
-        """
-        imported = skipped = 0
-        for path in sorted(Path(directory).glob("*.json")):
-            parsed = load_manifest(path)
-            if parsed is None:
-                skipped += 1
-                continue
-            config_hash, config, report = parsed
-            self.put(config_hash, config, report, campaign=campaign)
-            imported += 1
-        return imported, skipped
-
 
 class BufferedWriter:
     """Accumulates ``put`` calls and flushes them set-at-a-time.
@@ -618,19 +573,3 @@ class StoreDiff:
             for config_hash in hashes:
                 lines.append(f"{config_hash:<22}(only in {label!r})")
         return "\n".join(lines)
-
-
-def load_manifest(path) -> Optional[Tuple[str, Dict, RunReport]]:
-    """Parse one per-run JSON manifest; ``None`` if damaged.
-
-    Tolerates truncated files, invalid JSON and missing/malformed
-    keys — every failure mode of a corrupted cache entry maps to a
-    cache miss rather than an exception.
-    """
-    try:
-        manifest = json.loads(Path(path).read_text())
-        config_hash = manifest.get("config_hash") or Path(path).stem
-        report = RunReport(**manifest["report"])
-        return str(config_hash), dict(manifest["config"]), report
-    except (OSError, ValueError, KeyError, TypeError):
-        return None

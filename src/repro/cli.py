@@ -60,7 +60,6 @@ Query and export completed runs from a result store::
     repro results diff fig7 fig7-sparse --cache-dir DIR \\
                        --where "policy = 'migra'"
     repro results export --cache-dir DIR --csv out.csv
-    repro results import --cache-dir DIR LEGACY_MANIFEST_DIR
 
 Gate a campaign's metrics against a committed golden baseline
 (see ``docs/baselines.md``)::
@@ -315,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("list", "list stored campaigns with run counts"),
             ("show", "print stored runs as a table"),
             ("diff", "compare two stored campaigns row by row"),
-            ("export", "export stored runs (CSV or JSON manifests)"),
-            ("import", "import legacy per-run JSON manifests")):
+            ("export", "export stored runs as CSV")):
         rp = results_sub.add_parser(sub_name, help=sub_help)
         rp.add_argument("--cache-dir", metavar="DIR", required=True,
                         help="directory holding the result store "
@@ -344,13 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
             rp.add_argument("--csv", nargs="?", const="-", default=None,
                             metavar="PATH",
                             help="write CSV to PATH (default stdout)")
-            rp.add_argument("--manifest-dir", metavar="DIR", default=None,
-                            help="write legacy per-run JSON manifests")
-        if sub_name == "import":
-            rp.add_argument("manifest_dir", metavar="MANIFEST_DIR",
-                            help="directory of <config_hash>.json files")
-            rp.add_argument("--campaign", default="imported",
-                            help="campaign name for the imported rows")
 
     p = sub.add_parser("worker",
                        help="lease and run configs from a "
@@ -767,7 +758,7 @@ def _dispatch_fabric(args: argparse.Namespace) -> int:
 def _dispatch_results(args: argparse.Namespace) -> int:
     """The ``repro results`` subcommands against one store."""
     store_path = Path(args.cache_dir) / STORE_FILENAME
-    if args.results_command != "import" and not store_path.is_file():
+    if not store_path.is_file():
         print(f"error: no result store at {store_path}", file=sys.stderr)
         return 2
     try:
@@ -823,38 +814,20 @@ def _dispatch_results(args: argparse.Namespace) -> int:
         return 0
 
     if args.results_command == "export":
-        if args.csv is None and args.manifest_dir is None:
-            print("error: pass --csv [PATH] and/or --manifest-dir DIR",
-                  file=sys.stderr)
+        if args.csv is None:
+            print("error: pass --csv [PATH]", file=sys.stderr)
             return 2
-        if args.csv is not None:
-            try:
-                text = store.export_csv(
-                    path=None if args.csv == "-" else args.csv,
-                    campaign=args.campaign, where=args.where)
-            except ValueError as error:   # malformed --where filter
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            if args.csv == "-":
-                sys.stdout.write(text)
-            else:
-                print(f"CSV written to {args.csv}")
-        if args.manifest_dir is not None:
-            try:
-                count = store.export_manifests(args.manifest_dir,
-                                               campaign=args.campaign,
-                                               where=args.where)
-            except ValueError as error:   # malformed --where filter
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            print(f"{count} manifest(s) written to {args.manifest_dir}")
-        return 0
-
-    if args.results_command == "import":
-        imported, skipped = store.import_manifests(
-            args.manifest_dir, campaign=args.campaign)
-        print(f"imported {imported} run(s), skipped {skipped} "
-              f"damaged manifest(s) into {store_path}")
+        try:
+            text = store.export_csv(
+                path=None if args.csv == "-" else args.csv,
+                campaign=args.campaign, where=args.where)
+        except ValueError as error:   # malformed --where filter
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        if args.csv == "-":
+            sys.stdout.write(text)
+        else:
+            print(f"CSV written to {args.csv}")
         return 0
 
     raise AssertionError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Tuple
 
@@ -120,16 +121,31 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown migration strategy {self.migration_strategy!r}")
         # NaN fails every comparison, so test for the valid range: a
-        # NaN or infinite phase or period would never end a run.
-        if not 0 <= self.warmup_s < math.inf:
-            raise ValueError(f"warmup_s must be finite and >= 0, got "
-                             f"{self.warmup_s!r}")
+        # NaN or infinite phase or period would never end a run, and a
+        # NaN noise sigma or panic temperature silently turns the
+        # noise or the guard off.
+        for name in ("warmup_s", "sensor_noise_c"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{value!r}")
         for name in ("measure_s", "quantum_s", "sensor_period_s",
-                     "daemon_period_s"):
+                     "daemon_period_s", "frame_period_s"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got "
                                  f"{value!r}")
+        if not -math.inf < self.panic_temp_c < math.inf:
+            raise ValueError(f"panic_temp_c must be finite, got "
+                             f"{self.panic_temp_c!r}")
+        # type(), not isinstance(): a bool is an int.  A float or a
+        # string would run under a hash of its own, or fail deep in
+        # the run.
+        for value in _int_values(self):
+            if type(value) is not int:
+                name = next(name for name in _INT_FIELDS
+                            if getattr(self, name) is value)
+                raise ValueError(f"{name} must be an int, got {value!r}")
         # Checked, not coerced, so no hash moves: a bool or a string
         # would hash apart from the equal number.
         threshold = self.threshold_c
@@ -230,6 +246,8 @@ class ExperimentConfig:
         return tuple((f.name, getattr(self, f.name)) for f in fields(self)
                      if f.name not in POLICY_ONLY_FIELDS)
 
-    def cache_key(self) -> Tuple:
-        """Hashable identity for run-matrix caching."""
-        return tuple(getattr(self, f.name) for f in fields(self))
+
+#: The int fields, each checked to hold an int at construction.
+_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
+                    if f.type == "int")
+_int_values = operator.attrgetter(*_INT_FIELDS)

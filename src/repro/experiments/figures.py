@@ -22,7 +22,6 @@ from repro.experiments.config import (
     THRESHOLD_SWEEP_C,
     ExperimentConfig,
 )
-from repro.experiments.runner import RunResult, run_experiment
 from repro.metrics.report import RunReport
 from repro.mpos.migration import TaskRecreation, TaskReplication
 from repro.platform.bus import SharedBus
@@ -72,27 +71,6 @@ class FigureSeries:
 # ----------------------------------------------------------------------
 # shared campaign engine with caching
 # ----------------------------------------------------------------------
-#: Full-result cache for :func:`run_cached` (reports alone come from
-#: the engine; custom harnesses also want the traces and raw metrics).
-_RESULT_CACHE: Dict[tuple, RunResult] = {}
-
-
-def run_cached(config: ExperimentConfig) -> RunResult:
-    """Run (or fetch) one full-result run.  Keyed on the full config."""
-    key = config.cache_key()
-    if key not in _RESULT_CACHE:
-        result = _RESULT_CACHE[key] = run_experiment(config)
-        # Seed the report-level engine cache so figure sweeps reuse it.
-        shared_runner()._store(config.config_hash(), config, result.report)
-    return _RESULT_CACHE[key]
-
-
-def clear_cache() -> None:
-    from repro.campaign import clear_shared_runners
-    _RESULT_CACHE.clear()
-    clear_shared_runners()
-
-
 def run_matrix(package: str,
                thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
                policies: Sequence[str] = COMPARED_POLICIES,

@@ -10,7 +10,7 @@ for temporary registrations in tests and ablations.
 Concrete registries live beside the things they register:
 
 * ``repro.policies.registry``   — ``@register_policy``
-* ``repro.streaming.registry``  — ``@register_workload``
+* ``repro.streaming.registry``  — ``@register_workload_spec``
 * ``repro.platform.registry``   — ``@register_platform``
 * ``repro.thermal.registry``    — ``@register_package``
 * ``repro.thermal.solvers``     — ``@register_solver``

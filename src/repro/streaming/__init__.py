@@ -30,9 +30,7 @@ from repro.streaming.spec import (
     single_app,
 )
 from repro.streaming.registry import (
-    make_workload,
     make_workloads,
-    register_workload,
     register_workload_family,
     register_workload_spec,
     resolve_workload,
@@ -69,9 +67,7 @@ __all__ = [
     "build_sdr_graph",
     "families",
     "instantiate_workload",
-    "make_workload",
     "make_workloads",
-    "register_workload",
     "register_workload_family",
     "register_workload_spec",
     "resolve_workload",

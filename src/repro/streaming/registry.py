@@ -1,19 +1,21 @@
 """Workload registry: names -> declarative workload specs.
 
-Maps the names accepted by ``ExperimentConfig.workload`` to workloads.
-Three kinds of entry coexist:
+Maps the names accepted by ``ExperimentConfig.workload`` to workloads
+in the IR of :mod:`repro.streaming.spec`, instantiated by the one
+generic :func:`~repro.streaming.spec.instantiate_workload`.  Two kinds
+of entry:
 
-* **spec factories** (preferred): ``factory(config) -> WorkloadSpec``
-  registered with :func:`register_workload_spec` — the declarative IR
-  of :mod:`repro.streaming.spec`, instantiated by the one generic
-  :func:`~repro.streaming.spec.instantiate_workload`;
-* **legacy factories**: ``factory(sim, mpos, config, trace) -> app``
-  registered with :func:`register_workload` — still honoured, for
-  workloads the IR cannot express (custom harnesses, hand-wired
-  sources);
+* **spec factories**: ``factory(config) -> WorkloadSpec`` registered
+  with :func:`register_workload_spec` (a plain :class:`WorkloadSpec`
+  entry works too);
 * **parametric families**: prefixes like ``multi-sdr`` resolved for
   any ``multi-sdr:<K>`` name by :func:`register_workload_family`
   parsers (see :mod:`repro.streaming.families`).
+
+An application the IR cannot express (a custom harness, a hand-wired
+source) is built by overriding
+:meth:`~repro.campaign.builder.SystemBuilder.build_workload` instead;
+such a system runs outside campaigns.
 
 The paper's SDR benchmark is pre-registered as ``"sdr"`` — as a spec,
 with a parity test guaranteeing it reproduces the original factory
@@ -30,7 +32,7 @@ byte-for-byte::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.mpos.system import MPOS
 from repro.registry import Registry
@@ -44,37 +46,17 @@ from repro.streaming.spec import WorkloadSpec, instantiate_workload, \
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.config import ExperimentConfig
 
-#: Name -> workload entry (spec factory, WorkloadSpec, or legacy
-#: ``factory(sim, mpos, config, trace) -> StreamingApplication``).
+#: Name -> workload entry (a spec factory or a WorkloadSpec).
 workload_registry = Registry("workload")
 
 #: Family prefix -> ``parser(args) -> factory(config) -> WorkloadSpec``.
 workload_family_registry = Registry("workload family",
                                     plural="workload families")
 
-WorkloadFactory = Callable[
-    [Simulator, MPOS, "ExperimentConfig", Optional[TraceRecorder]],
-    StreamingApplication]
-
-
-def register_workload(name: str):
-    """Decorator registering a legacy opaque workload factory.
-
-    The factory is called ``factory(sim, mpos, config, trace)`` and
-    must return a live :class:`StreamingApplication`.  Prefer
-    :func:`register_workload_spec` — specs are inspectable, validated
-    up front, and compose into multi-application workloads.
-    """
-    return workload_registry.register(name)
-
 
 def register_workload_spec(name: str):
     """Decorator registering ``factory(config) -> WorkloadSpec``."""
-    def decorate(factory):
-        factory.__workload_spec__ = True
-        workload_registry.register(name, factory)
-        return factory
-    return decorate
+    return workload_registry.register(name)
 
 
 def register_workload_family(prefix: str, pattern: str):
@@ -114,25 +96,12 @@ def resolve_workload(name: str):
         return entry
     prefix, sep, args = name.partition(":")
     if sep and prefix in workload_family_registry:
-        factory = workload_family_registry[prefix](args)
-        factory.__workload_spec__ = True
-        return factory
+        return workload_family_registry[prefix](args)
     known = ", ".join(workload_registry.names()) or "<none>"
     patterns = ", ".join(family_patterns()) or "<none>"
     raise ValueError(
         f"unknown workload {name!r}; registered workloads: {known}; "
         f"parametric families: {patterns}")
-
-
-def _resolve_spec(config: "ExperimentConfig") -> Optional[WorkloadSpec]:
-    """The configured workload as a spec, or ``None`` for a legacy
-    opaque factory."""
-    entry = resolve_workload(config.workload)
-    if isinstance(entry, WorkloadSpec):
-        return entry
-    if getattr(entry, "__workload_spec__", False):
-        return entry(config)
-    return None
 
 
 def make_workloads(sim: Simulator, mpos: MPOS,
@@ -141,31 +110,11 @@ def make_workloads(sim: Simulator, mpos: MPOS,
                    ) -> List[StreamingApplication]:
     """Instantiate the workload named in the configuration.
 
-    Returns the workload's applications in spec order (legacy opaque
-    factories yield a one-element list).
+    Returns the workload's applications in spec order.
     """
-    spec = _resolve_spec(config)
-    if spec is None:
-        return [resolve_workload(config.workload)(sim, mpos, config,
-                                                  trace)]
+    entry = resolve_workload(config.workload)
+    spec = entry if isinstance(entry, WorkloadSpec) else entry(config)
     return instantiate_workload(spec, sim, mpos, config, trace)
-
-
-def make_workload(sim: Simulator, mpos: MPOS, config: "ExperimentConfig",
-                  trace: Optional[TraceRecorder]) -> StreamingApplication:
-    """Single-application compatibility wrapper over
-    :func:`make_workloads` (raises if the workload is multi-app).
-
-    The app count is checked on the *spec*, before anything touches
-    the simulator or the MPOS — rejecting a multi-app workload must
-    not leave queues bound, tasks mapped or arrival events pending.
-    """
-    spec = _resolve_spec(config)
-    if spec is not None and len(spec.apps) != 1:
-        raise ValueError(
-            f"workload {config.workload!r} instantiates "
-            f"{len(spec.apps)} applications; use make_workloads")
-    return make_workloads(sim, mpos, config, trace)[0]
 
 
 @register_workload_spec("sdr")

@@ -39,9 +39,8 @@ and §6.
 
 One-time per-network artifacts (dense propagators, sparse factors and
 operators, modal bases) are shared process-wide through
-:mod:`repro.thermal.cache` — bounded LRU, size configurable via the
-``REPRO_PROPAGATOR_CACHE`` environment variable, with hit/miss
-counters exposed through :func:`~repro.thermal.cache.cache_stats`.
+:mod:`repro.thermal.cache` — a 256-entry LRU, with hit/miss counters
+exposed through :func:`~repro.thermal.cache.cache_stats`.
 """
 
 from repro.thermal.package import (

@@ -8,39 +8,22 @@ those artifacts are cached process-wide and every run after the first
 skips the build.  Keys are ``(solver_name, network_digest, detail)``
 tuples; values are whatever the solver wants to reuse.
 
-The cache is bounded and evicts in least-recently-used order: a
-campaign's working set (one entry per distinct network x solver x step
-size) stays warm even when a long sweep cycles through more entries
-than the bound.  The bound is configurable through the
-``REPRO_PROPAGATOR_CACHE`` environment variable (default 256 entries),
-and hit/miss/eviction counters are exposed via :func:`cache_stats` so
-throughput benchmarks can report how much work the cache absorbed.
+The cache is bounded (256 entries) and evicts in least-recently-used
+order: a campaign's working set (one entry per distinct network x
+solver x step size) stays warm even when a long sweep cycles through
+more entries than the bound.  Hit/miss/eviction counters are exposed
+via :func:`cache_stats` so throughput benchmarks can report how much
+work the cache absorbed.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
-#: Environment variable overriding the cache bound (entry count).
-CACHE_SIZE_ENV = "REPRO_PROPAGATOR_CACHE"
-
-#: Default bound when the environment does not override it.
+#: The default bound (entry count); the shared cache uses it.
 DEFAULT_MAX_ENTRIES = 256
-
-
-def _max_entries_from_env() -> int:
-    """The configured cache bound (>= 1); malformed values fall back."""
-    raw = os.environ.get(CACHE_SIZE_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_ENTRIES
-    return max(1, value)
 
 
 @dataclass(frozen=True)
@@ -69,10 +52,9 @@ class CacheStats:
 class ArtifactCache:
     """Bounded LRU mapping of solver artifacts with usage counters."""
 
-    def __init__(self, max_entries: Optional[int] = None):
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._max = (max_entries if max_entries is not None
-                     else _max_entries_from_env())
+        self._max = max_entries
         if self._max < 1:
             raise ValueError("cache needs room for at least one entry")
         self.hits = 0
@@ -82,19 +64,6 @@ class ArtifactCache:
     @property
     def max_entries(self) -> int:
         return self._max
-
-    def configure(self, max_entries: Optional[int] = None) -> None:
-        """Change the bound (``None`` re-reads the environment).
-
-        Shrinking evicts LRU entries down to the new bound.
-        """
-        self._max = (max_entries if max_entries is not None
-                     else _max_entries_from_env())
-        if self._max < 1:
-            raise ValueError("cache needs room for at least one entry")
-        while len(self._entries) > self._max:
-            self._entries.popitem(last=False)
-            self.evictions += 1
 
     def __len__(self) -> int:
         return len(self._entries)

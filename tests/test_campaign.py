@@ -20,6 +20,7 @@ from repro.campaign.backends import lockstep_group_key
 from repro.campaign.engine import STORE_FILENAME
 from repro.experiments.config import THRESHOLD_SWEEP_C, ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.metrics.report import RunReport
 from repro.platform.presets import CONF1_STREAMING
 from repro.platform.registry import platform_registry
 
@@ -53,10 +54,6 @@ class TestConfigSerialization:
             threshold_c=1.0).config_hash()
         assert a.config_hash() != ExperimentConfig(
             threshold_c=2.0).config_hash()
-
-    def test_cache_key_covers_every_field(self):
-        n_fields = len(dataclasses.fields(ExperimentConfig))
-        assert len(ExperimentConfig().cache_key()) == n_fields
 
 
 class TestSweepSpec:
@@ -160,20 +157,19 @@ class TestCampaignRunner:
         assert second.runs[0].report.to_json() == \
             first.runs[0].report.to_json()
 
-    def test_legacy_json_manifest_served_and_migrated(self, tmp_path):
-        """Pre-store caches (one JSON manifest per run) keep working:
-        the manifest is honoured as a hit and copied into the store."""
+    def test_json_manifest_in_cache_dir_is_not_read(self, tmp_path):
+        """The store is the only persistent cache: a pre-store
+        ``<config_hash>.json`` manifest in ``cache_dir`` is ignored."""
         cfg = ExperimentConfig(policy="energy", **SHORT)
-        report = run_experiment(cfg).report
         key = cfg.config_hash()
+        stale = RunReport(policy="energy-balance", package="mobile",
+                          threshold_c=cfg.threshold_c, duration_s=1.5)
         (tmp_path / f"{key}.json").write_text(json.dumps(
             {"config_hash": key, "config": cfg.to_dict(),
-             "report": report.to_dict()}))
-        runner = CampaignRunner(cache_dir=str(tmp_path))
-        result = runner.run([cfg])
-        assert result.runs[0].cached is True
-        assert result.runs[0].report.to_json() == report.to_json()
-        assert runner.store.get(key) is not None     # migrated
+             "report": stale.to_dict()}))
+        result = CampaignRunner(cache_dir=str(tmp_path)).run([cfg])
+        assert result.runs[0].cached is False
+        assert result.runs[0].report.frames_played > 0
 
     def test_cached_hits_recorded_under_new_campaign_name(self, tmp_path):
         """A campaign served entirely from cache must still appear in
@@ -187,24 +183,6 @@ class TestCampaignRunner:
         campaigns = dict(runner.store.campaigns())
         assert campaigns == {"first": 1, "second": 1}
         assert len(runner.store.runs(campaign="second")) == 1
-
-    def test_corrupt_manifest_is_cache_miss(self, tmp_path):
-        """A truncated/corrupt legacy manifest must re-simulate, not
-        crash the campaign."""
-        cfg = ExperimentConfig(policy="energy", **SHORT)
-        key = cfg.config_hash()
-        (tmp_path / f"{key}.json").write_text('{"config_hash": "trunc')
-        result = CampaignRunner(cache_dir=str(tmp_path)).run([cfg])
-        assert result.runs[0].cached is False
-        assert result.runs[0].report.frames_played > 0
-
-    def test_run_one_uses_cache(self):
-        runner = CampaignRunner()
-        cfg = ExperimentConfig(policy="energy", **SHORT)
-        first = runner.run_one(cfg)
-        assert runner.run_one(cfg) is first
-        runner.clear_cache()
-        assert runner.run_one(cfg) is not first
 
     def test_report_for_unknown_config_raises(self):
         runner = CampaignRunner()
@@ -451,10 +429,9 @@ class TestExecutionBackends:
 
 class TestDistributedQueueDir:
     def test_adhoc_queue_dir_is_removed(self, tmp_path, monkeypatch):
-        """Without cache_dir or REPRO_QUEUE_DIR the journal lives in a
-        temporary directory that is gone once the run ends."""
+        """Without cache_dir the journal lives in a temporary
+        directory that is gone once the run ends."""
         import tempfile
-        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         created = []
         real = tempfile.mkdtemp
@@ -474,9 +451,7 @@ class TestDistributedQueueDir:
         assert not Path(queue_dir).exists()
         assert not list(tmp_path.glob("repro-queue-*"))
 
-    def test_cache_dir_queue_is_kept_for_resume(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
+    def test_cache_dir_queue_is_kept_for_resume(self, tmp_path):
         runner = CampaignRunner(backend="distributed",
                                 cache_dir=str(tmp_path / "cache"))
         try:
@@ -492,6 +467,7 @@ class TestIncrementalAnalysis:
         """Acceptance: ``repro fig7 --cache-dir DIR`` run twice
         simulates zero configs the second time — every row comes from
         the persistent store."""
+        from repro.campaign import clear_shared_runners
         from repro.experiments import figures
         from repro.experiments import runner as runner_mod
         calls = []
@@ -507,19 +483,19 @@ class TestIncrementalAnalysis:
         base = ExperimentConfig(**SHORT)
         kwargs = dict(thresholds=(1.0, 2.0), base=base,
                       cache_dir=str(tmp_path), backend="serial")
-        figures.clear_cache()
+        clear_shared_runners()
         try:
             first = figures.figure7(**kwargs)
             n_simulated = len(calls)
             # 3 policies x 2 thresholds, but energy never reads its
             # threshold: its two configs share one run.
             assert n_simulated == 5
-            figures.clear_cache()         # drop all in-memory caches
+            clear_shared_runners()        # drop all in-memory caches
             second = figures.figure7(**kwargs)
             assert len(calls) == n_simulated      # zero new simulations
             assert second == first
         finally:
-            figures.clear_cache()
+            clear_shared_runners()
 
     def test_scaling_reads_through_store(self, tmp_path):
         from repro.experiments.scaling import scaling_study

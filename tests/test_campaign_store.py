@@ -2,11 +2,10 @@
 
 import csv
 import io
-import json
 
 import pytest
 
-from repro.campaign.store import ResultStore, load_manifest
+from repro.campaign.store import ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import RunReport
 
@@ -122,29 +121,6 @@ class TestResultStore:
         store.export_csv(path=out)
         assert out.read_text().startswith("config_hash,campaign,policy")
 
-    def test_manifest_export_import_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "a.sqlite")
-        store.put("h1", {"policy": "migra"}, _report(), campaign="x")
-        assert store.export_manifests(tmp_path / "manifests") == 1
-        manifest = json.loads(
-            (tmp_path / "manifests" / "h1.json").read_text())
-        assert manifest["config"] == {"policy": "migra"}
-
-        other = ResultStore(tmp_path / "b.sqlite")
-        imported, skipped = other.import_manifests(tmp_path / "manifests")
-        assert (imported, skipped) == (1, 0)
-        assert other.get("h1") == _report()
-
-    def test_import_skips_corrupt_manifests(self, tmp_path):
-        broken = tmp_path / "manifests"
-        broken.mkdir()
-        (broken / "bad1.json").write_text('{"config": {}, "repo')
-        (broken / "bad2.json").write_text('{"config": {}}')   # no report
-        store = ResultStore(tmp_path / "r.sqlite")
-        imported, skipped = store.import_manifests(broken)
-        assert (imported, skipped) == (0, 2)
-        assert len(store) == 0
-
     def test_schema_migration_adds_new_columns(self, tmp_path):
         """A store created before a metric existed gains the column on
         reopen, and its pre-migration rows (NULL in the new column)
@@ -170,20 +146,6 @@ class TestResultStore:
         assert store.has("h1", "a")
         assert not store.has("h1", "b")
         assert not store.has("h2", "a")
-
-    def test_manifest_export_filters_and_dedupes(self, tmp_path):
-        store = ResultStore(tmp_path / "r.sqlite")
-        store.put("h1", {}, _report(), campaign="a")
-        store.put("h1", {}, _report(), campaign="b")   # same config
-        store.put("h2", {}, _report(policy="energy"), campaign="b")
-        out_all = tmp_path / "all"
-        assert store.export_manifests(out_all) == 2    # h1 once
-        assert {p.name for p in out_all.glob("*.json")} == \
-            {"h1.json", "h2.json"}
-        out_b = tmp_path / "only-a"
-        assert store.export_manifests(out_b, campaign="a") == 1
-        assert {p.name for p in out_b.glob("*.json")} == {"h1.json"}
-
 
 class TestStoreDiff:
     def _seed(self, store):
@@ -258,32 +220,6 @@ class TestStoreDiff:
         assert diff.only_a == [cfg.config_hash()]
         assert diff.only_b == [other.config_hash()]
         assert diff.max_abs_delta("peak_c") == 0.0
-
-
-class TestLoadManifest:
-    def test_valid(self, tmp_path):
-        cfg = ExperimentConfig()
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"config_hash": "k",
-                                    "config": cfg.to_dict(),
-                                    "report": _report().to_dict()}))
-        key, config, report = load_manifest(path)
-        assert key == "k"
-        assert config == cfg.to_dict()
-        assert report == _report()
-
-    @pytest.mark.parametrize("content", [
-        "", "not json", '{"config": {}}',
-        '{"config": {}, "report": {"bogus_field": 1}}',
-        '{"config": {}, "report": "not-a-dict"}',
-    ])
-    def test_damaged(self, tmp_path, content):
-        path = tmp_path / "m.json"
-        path.write_text(content)
-        assert load_manifest(path) is None
-
-    def test_missing_file(self, tmp_path):
-        assert load_manifest(tmp_path / "absent.json") is None
 
 
 # ----------------------------------------------------------------------

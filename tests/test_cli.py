@@ -64,13 +64,13 @@ class TestCommands:
         assert "policy=energy-balance" in out
 
     def test_fig7_short(self, capsys):
-        from repro.experiments.figures import clear_cache
-        clear_cache()
+        from repro.campaign import clear_shared_runners
+        clear_shared_runners()
         assert main(["fig7", "--warmup", "3", "--measure", "3"]) == 0
         out = capsys.readouterr().out
         assert "Figure 7" in out
         assert "Thermal-Balancing (ours)" in out
-        clear_cache()
+        clear_shared_runners()
 
     def test_run_show_trace(self, capsys):
         assert main(["run", "--policy", "energy", "--warmup", "2",
@@ -259,21 +259,26 @@ class TestResultsCommands:
         rebuilt = [RunReport.from_record(row) for row in rows]
         assert {r.policy for r in rebuilt} == {"energy-balance", "migra"}
 
-    def test_results_export_and_import_manifests(self, capsys, tmp_path):
-        self._seed_store(tmp_path / "store")
-        manifest_dir = tmp_path / "manifests"
-        assert main(["results", "export", "--cache-dir",
-                     str(tmp_path / "store"),
-                     "--manifest-dir", str(manifest_dir)]) == 0
-        assert len(list(manifest_dir.glob("*.json"))) == 2
+    def test_results_import_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["results", "import", "--cache-dir", str(tmp_path),
+                  str(tmp_path / "manifests")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'import'" in err
+        assert "Traceback" not in err
+
+    def test_results_export_manifest_dir_is_gone(self, capsys, tmp_path):
+        self._seed_store(tmp_path)
         capsys.readouterr()
-        assert main(["results", "import", "--cache-dir",
-                     str(tmp_path / "fresh"), str(manifest_dir)]) == 0
-        assert "imported 2 run(s)" in capsys.readouterr().out
-        capsys.readouterr()
-        assert main(["results", "list", "--cache-dir",
-                     str(tmp_path / "fresh")]) == 0
-        assert "imported" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["results", "export", "--cache-dir", str(tmp_path),
+                  "--manifest-dir", str(tmp_path / "manifests")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --manifest-dir" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "manifests").exists()
 
     def test_results_diff_two_campaigns(self, capsys, tmp_path):
         self._seed_store(tmp_path)

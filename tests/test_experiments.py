@@ -12,8 +12,7 @@ from repro.experiments.config import (
     THRESHOLD_SWEEP_C,
     ExperimentConfig,
 )
-from repro.experiments.figures import FigureSeries, clear_cache, figure2, \
-    run_cached
+from repro.experiments.figures import FigureSeries, figure2
 from repro.experiments.runner import build_system, make_policy, run_experiment
 from repro.experiments.tables import table1, table2
 from repro.policies.energy_balance import EnergyBalancing
@@ -48,12 +47,6 @@ class TestConfig:
         cfg = ExperimentConfig().variant(threshold_c=2.0, package="highperf")
         assert cfg.threshold_c == 2.0
         assert cfg.package_params is PACKAGES["highperf"]
-
-    def test_cache_key_distinguishes_configs(self):
-        a = ExperimentConfig(threshold_c=1.0)
-        b = ExperimentConfig(threshold_c=2.0)
-        assert a.cache_key() != b.cache_key()
-        assert a.cache_key() == ExperimentConfig(threshold_c=1.0).cache_key()
 
     def test_platform_presets_registered(self):
         assert set(PLATFORMS) >= {"conf1", "conf2",
@@ -94,6 +87,29 @@ class TestConfig:
             ExperimentConfig(threshold_c=value)
         with pytest.raises(ValueError, match="threshold_c"):
             ExperimentConfig.from_dict({"threshold_c": value})
+
+    @pytest.mark.parametrize("field, value", [
+        # Each ran under a hash of its own or failed deep in the run.
+        ("seed", 1.5), ("seed", "x"), ("seed", True),
+        ("n_cores", 2.5), ("n_cores", 3.0), ("n_cores", "3"),
+        ("queue_capacity", "6"), ("queue_capacity", 6.0),
+        ("sink_start_delay_frames", 4.5), ("n_bands", False),
+        ("top_k", 3.0), ("max_from_hot", "2"), ("max_from_dst", None),
+        # A NaN or infinite frame period ran with 0 frames played.
+        ("frame_period_s", float("nan")), ("frame_period_s", float("inf")),
+        ("frame_period_s", 0.0), ("frame_period_s", -0.04),
+        # A NaN panic temperature compares false, so the guard never
+        # fires; a NaN or negative noise sigma silently disables noise.
+        ("panic_temp_c", float("nan")), ("panic_temp_c", float("inf")),
+        ("panic_temp_c", -float("inf")),
+        ("sensor_noise_c", float("nan")), ("sensor_noise_c", -0.1),
+        ("sensor_noise_c", float("inf")),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict({field: value})
 
 
 class TestWarmupKey:
@@ -210,14 +226,6 @@ class TestFigures:
         text = fig.to_text()
         assert "Figure 2" in text
         assert "task-replication" in text
-
-    def test_run_cached_reuses_results(self):
-        clear_cache()
-        cfg = ExperimentConfig(policy="energy", **SHORT)
-        first = run_cached(cfg)
-        second = run_cached(cfg)
-        assert first is second
-        clear_cache()
 
     def test_figure_series_dataclass(self):
         fig = FigureSeries(figure="F", title="t", x_label="x",

@@ -132,10 +132,12 @@ class TestWorkloadRegistry:
         assert "sdr" in workload_registry
 
     def test_custom_workload_runs_without_touching_runner(self):
-        from repro.streaming.sdr_app import build_sdr_application
+        from repro.streaming.sdr_app import build_sdr_graph, sdr_mapping
+        from repro.streaming.spec import single_app
 
-        def narrow_sdr(sim, mpos, config, trace):
-            return build_sdr_application(sim, mpos, n_bands=2, trace=trace)
+        def narrow_sdr(config):
+            return single_app("narrow-sdr", build_sdr_graph(2),
+                              sdr_mapping(2, config.n_cores))
 
         with workload_registry.temporarily("narrow-sdr", narrow_sdr):
             sut = build_system(ExperimentConfig(workload="narrow-sdr",

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.campaign.backends import make_backend
+from repro.campaign.builder import SystemBuilder
 from repro.campaign.golden import GoldenBaseline
 from repro.campaign.lockstep import run_lockstep_group
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_system,
@@ -28,7 +30,6 @@ from repro.experiments.runner import (
 from repro.experiments.snapshot import Checkpoint
 from repro.policies.base import ThermalPolicy
 from repro.policies.registry import policy_registry
-from repro.streaming.registry import make_workloads, workload_registry
 
 BASELINES = Path(__file__).resolve().parents[1] / "baselines"
 
@@ -117,26 +118,28 @@ def test_policy_acting_while_disabled_gets_its_own_warmup(backend):
         assert reports_of(backend, configs) == expected
 
 
-def _sdr_with_pending_closure(sim, mpos, config, trace):
-    """An SDR workload plus a closure event due in the measured phase."""
-    app = make_workloads(sim, mpos, config.variant(workload="sdr"),
-                         trace)[0]
-    sim.schedule_at(config.warmup_s + 0.1, lambda: mpos.gate_core(2))
-    return app
+class ClosureBuilder(SystemBuilder):
+    """The SDR workload plus a closure event due in the measured phase."""
+
+    def build_workload(self, sim, mpos, trace):
+        apps = super().build_workload(sim, mpos, trace)
+        sim.schedule_at(self.config.warmup_s + 0.1,
+                        lambda: mpos.gate_core(2))
+        return apps
 
 
 @pytest.mark.parametrize("backend", ["serial", "vectorized"])
-def test_system_that_does_not_pickle_runs_fresh(backend):
-    with workload_registry.temporarily("closure-sdr",
-                                       _sdr_with_pending_closure):
-        configs = [ExperimentConfig(workload="closure-sdr", policy=p,
-                                    **_SHORT)
-                   for p in ("energy", "migra", "stopgo")]
-        trunk = build_system(configs[0])
-        trunk.sim.run_until(configs[0].warmup_s)
-        assert checkpoint_system(trunk) is None
-        expected = [run_experiment(c).report.to_dict() for c in configs]
-        assert reports_of(backend, configs) == expected
+def test_system_that_does_not_pickle_runs_fresh(backend, monkeypatch):
+    # Every in-process path builds its systems through build_system.
+    monkeypatch.setattr(runner, "build_system",
+                        lambda config: ClosureBuilder(config).build())
+    configs = [ExperimentConfig(policy=p, **_SHORT)
+               for p in ("energy", "migra", "stopgo")]
+    trunk = runner.build_system(configs[0])
+    trunk.sim.run_until(configs[0].warmup_s)
+    assert checkpoint_system(trunk) is None
+    expected = [run_experiment(c).report.to_dict() for c in configs]
+    assert reports_of(backend, configs) == expected
 
 
 # ----------------------------------------------------------------------

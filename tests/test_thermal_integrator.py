@@ -156,33 +156,30 @@ class TestEulerIntegrator:
 
 
 class TestSharedPropagatorCache:
-    def test_lru_evicts_one_entry_not_everything(self, network):
+    def test_lru_evicts_one_entry_not_everything(self, network,
+                                                 monkeypatch):
         """Overflow must drop only the least-recently-used propagator:
         a full clear() mid-campaign would throw away the entire warm
         working set."""
-        from repro.thermal.cache import shared_artifacts
-        shared_artifacts.clear()
-        old_max = shared_artifacts.max_entries
-        try:
-            shared_artifacts.configure(max_entries=4)
-            exact = ExactIntegrator(network)
-            for i in range(4):
-                exact._propagator(0.01 * (i + 1))
-            keys_before = list(shared_artifacts._entries)
-            assert len(keys_before) == 4
-            # Touch the oldest entry so it becomes most-recently-used
-            exact._propagators.clear()
-            exact._propagator(0.01)
-            # ... then overflow: the evictee is the *second*-oldest.
-            exact._propagator(0.05)
-            keys_after = list(shared_artifacts._entries)
-            assert len(keys_after) == 4
-            assert keys_before[0] in keys_after      # refreshed
-            assert keys_before[1] not in keys_after  # LRU, evicted
-            assert shared_artifacts.stats().evictions == 1
-        finally:
-            shared_artifacts.configure(max_entries=old_max)
-            shared_artifacts.clear()
+        from repro.thermal import integrator
+        from repro.thermal.cache import ArtifactCache
+        cache = ArtifactCache(max_entries=4)
+        monkeypatch.setattr(integrator, "shared_artifacts", cache)
+        exact = ExactIntegrator(network)
+        for i in range(4):
+            exact._propagator(0.01 * (i + 1))
+        keys_before = list(cache._entries)
+        assert len(keys_before) == 4
+        # Touch the oldest entry so it becomes most-recently-used
+        exact._propagators.clear()
+        exact._propagator(0.01)
+        # ... then overflow: the evictee is the *second*-oldest.
+        exact._propagator(0.05)
+        keys_after = list(cache._entries)
+        assert len(keys_after) == 4
+        assert keys_before[0] in keys_after      # refreshed
+        assert keys_before[1] not in keys_after  # LRU, evicted
+        assert cache.stats().evictions == 1
 
     def test_shared_across_integrators_same_network(self, network):
         from repro.thermal.cache import clear_artifact_cache, shared_artifacts
@@ -215,29 +212,3 @@ class TestArtifactCache:
         assert stats.size == 2 and stats.max_entries == 2
         assert 0 < stats.hit_rate < 1
         assert "2 hits" in stats.to_text()
-
-    def test_max_entries_from_environment(self, monkeypatch):
-        from repro.thermal.cache import (
-            ArtifactCache,
-            CACHE_SIZE_ENV,
-            DEFAULT_MAX_ENTRIES,
-        )
-        monkeypatch.setenv(CACHE_SIZE_ENV, "7")
-        assert ArtifactCache().max_entries == 7
-        monkeypatch.setenv(CACHE_SIZE_ENV, "not-a-number")
-        assert ArtifactCache().max_entries == DEFAULT_MAX_ENTRIES
-        monkeypatch.setenv(CACHE_SIZE_ENV, "0")
-        assert ArtifactCache().max_entries == 1   # clamped, never zero
-        monkeypatch.delenv(CACHE_SIZE_ENV)
-        assert ArtifactCache().max_entries == DEFAULT_MAX_ENTRIES
-
-    def test_configure_rereads_environment_and_shrinks(self, monkeypatch):
-        from repro.thermal.cache import ArtifactCache, CACHE_SIZE_ENV
-        cache = ArtifactCache(max_entries=8)
-        for i in range(6):
-            cache.put(i, i)
-        monkeypatch.setenv(CACHE_SIZE_ENV, "3")
-        cache.configure()
-        assert cache.max_entries == 3
-        assert len(cache) == 3
-        assert cache.get(5) == 5      # most-recent entries survived

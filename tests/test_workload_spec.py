@@ -2,29 +2,30 @@
 
 The heart of this file is the parity suite: the ``sdr`` and ``fig1``
 workloads, re-expressed as :class:`WorkloadSpec`, must produce
-**byte-identical** :class:`RunReport` s to the opaque factories they
-replaced — the refactor may not move a single metric.
+**byte-identical** :class:`RunReport` s to the pre-IR factories they
+replaced — the refactor may not move a single metric.  The factories
+run through a :meth:`SystemBuilder.build_workload` override, the one
+route for applications the IR cannot express.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
+from repro.campaign.builder import SystemBuilder
 from repro.campaign.store import ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1 import FIG1_MAPPING, build_fig1_graph
-from repro.experiments.runner import build_system, run_experiment
+from repro.experiments.runner import build_system, measure, run_experiment
 from repro.metrics.report import RunReport
 from repro.mpos.system import MPOS
 from repro.sim.kernel import Simulator
 from repro.streaming.families import build_pipeline_graph, prefix_graph, \
     round_robin_mapping
 from repro.streaming.graph import SINK, SOURCE, StreamGraph, TaskSpec
-from repro.streaming.registry import make_workload, make_workloads, \
-    resolve_workload, workload_registry
+from repro.streaming.registry import resolve_workload
 from repro.streaming.sdr_app import build_sdr_application, build_sdr_graph, \
     sdr_mapping
 from repro.streaming.application import StreamingApplication
@@ -53,17 +54,30 @@ def _legacy_fig1(sim, mpos, config, trace):
         config.sink_start_delay_frames, trace)
 
 
+class LegacyBuilder(SystemBuilder):
+    """Builds the workload with a pre-IR factory instead of its spec."""
+
+    def __init__(self, config, factory):
+        super().__init__(config)
+        self.factory = factory
+        self.apps = []
+
+    def build_workload(self, sim, mpos, trace):
+        self.apps = [self.factory(sim, mpos, self.config, trace)]
+        return self.apps
+
+
 def _reports_for(spec_workload, legacy_factory, **overrides):
     """Run the spec workload and its legacy factory on one config."""
-    spec_cfg = ExperimentConfig(workload=spec_workload, **SHORT,
-                                **overrides)
-    with workload_registry.temporarily("legacy", legacy_factory):
-        legacy_cfg = spec_cfg.variant(workload="legacy")
-        legacy = run_experiment(legacy_cfg).report
-    spec = run_experiment(spec_cfg).report
-    # The workload column echoes the *name* the config carried; it is
-    # identity, not behaviour — normalize it before the byte compare.
-    legacy = dataclasses.replace(legacy, workload=spec_workload)
+    config = ExperimentConfig(workload=spec_workload, **SHORT, **overrides)
+    builder = LegacyBuilder(config, legacy_factory)
+    sut = builder.build()
+    # The factory's app is the one that runs: an override that fell
+    # back to the spec would compare the spec with itself.
+    assert len(builder.apps) == 1 and sut.apps == builder.apps
+    sut.sim.run_until(config.warmup_s)
+    legacy = measure(sut).report
+    spec = run_experiment(config).report
     return spec, legacy
 
 
@@ -246,24 +260,6 @@ class TestMultiAppRuns:
         r0 = report.extra["qos.r0.frames_played"]
         r1 = report.extra["qos.r1.frames_played"]
         assert 0 < r1 < r0
-
-    def test_make_workload_rejects_multi_app(self, sim, chip):
-        cfg = ExperimentConfig(workload="sdr-arrival", **SHORT)
-        mpos = MPOS(sim, chip)
-        pending_before = sim.pending_events
-        with pytest.raises(ValueError, match="make_workloads"):
-            make_workload(sim, mpos, cfg, None)
-        # The rejection must not leak instantiation side effects into
-        # the live system: nothing mapped, no arrival events pending.
-        assert mpos.tasks == []
-        assert sim.pending_events == pending_before
-
-    def test_legacy_factories_still_run(self, sim, chip):
-        with workload_registry.temporarily("legacy", _legacy_sdr):
-            cfg = ExperimentConfig(workload="legacy", **SHORT)
-            apps = make_workloads(sim, MPOS(sim, chip), cfg, None)
-        assert len(apps) == 1
-        assert len(apps[0].tasks) == 6
 
 
 class TestDeferredStart:
