@@ -13,13 +13,15 @@ resume without recomputation:
   transaction — a crash between any two writes rolls back cleanly on
   the next open.  The hot paths are set-at-a-time for fleet-scale
   campaigns: :meth:`CampaignQueue.enqueue` journals a whole submission
-  with one ``executemany`` plus one set-based torn-row repair pass,
-  leasing walks pending work through a ``(state, not_before)``
-  composite index with a keyset cursor over damaged rows, and both
-  databases run in WAL journal mode — safe here because every
-  transition is guarded by the lease protocol, not by rollback-journal
-  exclusivity (throughput in ``BENCH_fleet.json``, written by
-  ``benchmarks/test_fleet_scale.py``).
+  with one ``executemany`` plus one set-based torn-row repair pass;
+  :meth:`CampaignQueue.lease` chooses a group and marks it leased in
+  one write transaction, through a state index read in rowid order
+  (with a keyset cursor over damaged rows) and a group index over
+  pending rows, so concurrent workers never race for the same group
+  and no lease sorts the backlog; and both databases run in WAL
+  journal mode — safe here because every transition is guarded by the
+  lease protocol, not by rollback-journal exclusivity (throughput in
+  ``BENCH_fleet.json``, written by ``benchmarks/test_fleet_scale.py``).
 * :func:`run_worker` — the worker loop (``repro worker --queue DIR``):
   lease a batch of configs sharing a
   :func:`~repro.campaign.backends.lockstep_group_key`, run them
@@ -256,15 +258,23 @@ class CampaignQueue:
             self._conn.execute(
                 "ALTER TABLE tasks ADD COLUMN "
                 "enqueued_at REAL NOT NULL DEFAULT 0")
-        # The composite index serves every hot query: leasing probes
-        # (state, not_before) ranges, reclaim scans state = 'leased',
-        # and status GROUP BYs over the state prefix — all without a
-        # full-table scan on a 10^5-row queue.  It supersedes the old
-        # single-column state index.
+        # Two indexes serve every queue query without a full-table
+        # scan or a sort of the whole backlog.  The state index holds
+        # each state's rows in rowid order, so the lease's head query
+        # reads the oldest pending row first and stops; reclaim,
+        # status, finished and the state-filtered commands use it too.
+        # The group index hands the lease one group's pending rows,
+        # and only those get sorted; it holds pending rows only, so
+        # completing a lease does not touch it.  Both replace the old
+        # (state, not_before) index, with which every lease sorted
+        # every pending row.
         self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_tasks_ready "
-            "ON tasks (state, not_before)")
-        self._conn.execute("DROP INDEX IF EXISTS idx_tasks_state")
+            "CREATE INDEX IF NOT EXISTS idx_tasks_state "
+            "ON tasks (state)")
+        self._conn.execute(
+            "CREATE INDEX IF NOT EXISTS idx_tasks_group "
+            "ON tasks (group_key, not_before) WHERE state = 'pending'")
+        self._conn.execute("DROP INDEX IF EXISTS idx_tasks_ready")
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS faults (name TEXT PRIMARY KEY)")
         self._conn.execute(
@@ -311,21 +321,25 @@ class CampaignQueue:
         # of those are damaged (marked torn, or unparseable after a
         # torn write)?  One chunked probe, run before the optimistic
         # insert so only genuinely pre-existing rows are inspected.
+        # A stored text equal to the submitted one is healthy, so only
+        # rows that differ are parsed.
         damaged: Dict[str, Tuple] = {}
         by_key = {row[0]: row for row in rows}
         for chunk in _chunked(list(by_key), 500):
             marks = ", ".join("?" for _ in chunk)
-            for found in self._conn.execute(
+            for key, state, stored in self._conn.execute(
                     f"SELECT config_hash, state, config FROM tasks "
                     f"WHERE config_hash IN ({marks})", chunk):
-                if found["state"] == "torn" or \
-                        _parse_config(found["config"]) is None:
-                    damaged[found["config_hash"]] = \
-                        by_key[found["config_hash"]]
+                row = by_key.pop(key)
+                if state == "torn" or (stored != row[2] and
+                                       _parse_config(stored) is None):
+                    damaged[key] = row
+        # What is left in by_key is not journaled yet; the insert
+        # still ignores a key another submitter journals meanwhile.
         cursor = self._conn.executemany(
             "INSERT OR IGNORE INTO tasks "
             "(config_hash, campaign, config, group_key, enqueued_at) "
-            "VALUES (?, ?, ?, ?, ?)", rows)
+            "VALUES (?, ?, ?, ?, ?)", list(by_key.values()))
         new = max(0, cursor.rowcount)
         if damaged:
             # Torn write repair: overwrite the damaged rows with fresh
@@ -379,58 +393,70 @@ class CampaignQueue:
         one mat-mat per epoch.  Damaged rows are skipped with a
         warning, never an exception.  Returns ``[]`` when nothing is
         leasable right now (empty queue, backoff, or active leases).
+
+        Choosing the group and marking it leased is one write
+        transaction (``BEGIN IMMEDIATE``, taken before the head row is
+        read), so a concurrent lease waits for the lock and then takes
+        the next group instead of racing for this one and coming back
+        empty.  Both reads are served by an index: the head query
+        walks the state index in rowid order and stops at the first
+        eligible row, and the group query reads only that group's
+        pending rows.
         """
         now = time.time() if now is None else now
         self.reclaim_expired(now)
-        group = None
-        last_rowid = -1
-        while group is None:
-            # Keyset cursor: damaged rows advance the scan past the
-            # row just quarantined instead of re-issuing the full
-            # ORDER BY rowid walk from the top — a queue with many
-            # torn rows stays O(damaged), not O(damaged^2).
-            row = self._conn.execute(
-                "SELECT rowid, config_hash, config, group_key "
-                "FROM tasks WHERE state = 'pending' AND "
-                "not_before <= ? AND rowid > ? "
-                "ORDER BY rowid LIMIT 1", (now, last_rowid)).fetchone()
-            if row is None:
-                return []
-            last_rowid = row["rowid"]
-            if _parse_config(row["config"]) is None:
-                self._mark_torn(row["config_hash"])
-                continue
-            group = row["group_key"]
-        query = ("SELECT config_hash, campaign, config, attempts "
-                 "FROM tasks WHERE state = 'pending' AND "
-                 "not_before <= ? AND group_key = ? ORDER BY rowid")
-        if limit is not None:
-            query += f" LIMIT {int(limit)}"
-        tasks: List[QueueTask] = []
-        for row in self._conn.execute(query, (now, group)).fetchall():
-            config = _parse_config(row["config"])
-            if config is None:
-                self._mark_torn(row["config_hash"])
-                continue
-            # The UPDATE's state guard is the race arbiter: if another
-            # worker leased the row between our SELECT and here, the
-            # guard fails and the row is simply not ours.
-            cursor = self._conn.execute(
+        self._conn.execute("BEGIN IMMEDIATE")
+        with self._conn:        # commits, or rolls back on an exception
+            group = None
+            last_rowid = -1
+            while group is None:
+                # Keyset cursor: damaged rows advance the scan past the
+                # row just quarantined instead of re-issuing the full
+                # ORDER BY rowid walk from the top — a queue with many
+                # torn rows stays O(damaged), not O(damaged^2).
+                row = self._conn.execute(
+                    "SELECT rowid, config_hash, config, group_key "
+                    "FROM tasks WHERE state = 'pending' AND "
+                    "not_before <= ? AND rowid > ? "
+                    "ORDER BY rowid LIMIT 1", (now, last_rowid)).fetchone()
+                if row is None:
+                    return []
+                last_rowid = row["rowid"]
+                if _parse_config(row["config"]) is None:
+                    self._mark_torn(row["config_hash"])
+                    continue
+                group = row["group_key"]
+            query = ("SELECT config_hash, campaign, config, attempts "
+                     "FROM tasks WHERE state = 'pending' AND "
+                     "group_key = ? AND not_before <= ? ORDER BY rowid")
+            if limit is not None:
+                query += f" LIMIT {int(limit)}"
+            tasks: List[QueueTask] = []
+            for key, campaign, payload, attempts in self._conn.execute(
+                    query, (group, now)).fetchall():
+                config = _parse_config(payload)
+                if config is None:
+                    self._mark_torn(key)
+                    continue
+                tasks.append(QueueTask(config_hash=key, campaign=campaign,
+                                       config=config,
+                                       attempts=attempts + 1))
+            # The state guard still keeps a row that is no longer
+            # pending from being taken over; inside this transaction
+            # every row just read as pending still is.
+            self._conn.executemany(
                 "UPDATE tasks SET state = 'leased', lease_id = ?, "
                 "lease_expires = ?, attempts = attempts + 1 "
                 "WHERE config_hash = ? AND state = 'pending'",
-                (worker_id, now + self.lease_timeout_s,
-                 row["config_hash"]))
-            if cursor.rowcount:
-                tasks.append(QueueTask(config_hash=row["config_hash"],
-                                       campaign=row["campaign"],
-                                       config=config,
-                                       attempts=row["attempts"] + 1))
-        self._conn.commit()
+                [(worker_id, now + self.lease_timeout_s, task.config_hash)
+                 for task in tasks])
         return tasks
 
     def _mark_torn(self, config_hash: str) -> None:
-        """Quarantine a damaged row (repaired by the next enqueue)."""
+        """Quarantine a damaged row (repaired by the next enqueue).
+
+        Runs inside :meth:`lease`'s transaction, which commits it.
+        """
         warnings.warn(
             f"queue row {config_hash} is corrupt (torn write); "
             f"skipping it — re-enqueue the campaign to repair",
@@ -438,7 +464,6 @@ class CampaignQueue:
         self._conn.execute(
             "UPDATE tasks SET state = 'torn' WHERE config_hash = ?",
             (config_hash,))
-        self._conn.commit()
 
     def reclaim_expired(self, now: Optional[float] = None) -> int:
         """Return timed-out leases to ``pending`` (or ``failed``).
@@ -449,10 +474,17 @@ class CampaignQueue:
         to ``failed`` instead.
         """
         now = time.time() if now is None else now
+        # A read probe first: with nothing expired, no write lock is
+        # taken, so the poll before every lease and the coordinator's
+        # sweep do not queue behind (or hold up) a leasing worker.
+        if self._conn.execute(
+                "SELECT 1 FROM tasks WHERE state = 'leased' AND "
+                "lease_expires < ? LIMIT 1", (now,)).fetchone() is None:
+            return 0
         # Two set-based passes over the expired subset (found via the
-        # (state, not_before) index's state prefix): retries-exhausted
-        # leases park in 'failed', the rest return to 'pending' with
-        # their linear backoff computed in SQL.
+        # state index): retries-exhausted leases park in 'failed', the
+        # rest return to 'pending' with their linear backoff computed
+        # in SQL.
         exhausted = self._conn.execute(
             "UPDATE tasks SET state = 'failed', lease_id = NULL, "
             "last_error = 'lease expired with retries exhausted' "
@@ -527,11 +559,10 @@ class CampaignQueue:
     def status(self, now: Optional[float] = None) -> "QueueStatus":
         """Per-state counts plus the pending backlog's age, one query.
 
-        A single ``GROUP BY state`` aggregation (served by the
-        ``(state, not_before)`` index prefix) yields every count and
-        the oldest pending submission timestamp together, so ``repro
-        queue status`` stays O(states) on a 10^5-row queue instead of
-        issuing a query per state.
+        A single ``GROUP BY state`` aggregation (served by the state
+        index) yields every count and the oldest pending submission
+        timestamp together, so ``repro queue status`` stays one query
+        on a 10^5-row queue instead of issuing a query per state.
         """
         now = time.time() if now is None else now
         out = {state: 0 for state in STATES}

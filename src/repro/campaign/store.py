@@ -73,6 +73,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.report import RunReport
 
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder
+#: per call.
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
 #: Python value type -> SQLite column affinity for record columns.
 _AFFINITY = {int: "INTEGER", float: "REAL", str: "TEXT", bool: "INTEGER"}
 
@@ -116,6 +120,11 @@ class ResultStore:
         self._conn = sqlite3.connect(self.path)
         self._conn.row_factory = sqlite3.Row
         self._columns = [name for name, _ in _record_schema()]
+        #: The record columns, named, in :attr:`_columns` order: rows
+        #: are read as tuples, not looked up column by column.
+        self._metrics = ", ".join(f'"{name}"' for name in self._columns)
+        self._get_query = (f"SELECT {self._metrics} FROM runs "
+                           f"WHERE config_hash = ? LIMIT 1")
         try:
             if self.path != ":memory:":
                 # WAL keeps readers (merges, status queries) off the
@@ -187,7 +196,7 @@ class ResultStore:
         for config_hash, config, report in rows:
             record = report.to_record()
             values.append([config_hash, campaign,
-                           json.dumps(config, sort_keys=True)]
+                           _canonical_json(config)]
                           + [record[name] for name in self._columns])
         if not values:
             return 0
@@ -211,13 +220,11 @@ class ResultStore:
     # ------------------------------------------------------------------
     def get(self, config_hash: str) -> Optional[RunReport]:
         """The stored report for a config hash (any campaign), if any."""
-        row = self._conn.execute(
-            "SELECT * FROM runs WHERE config_hash = ? LIMIT 1",
-            (config_hash,)).fetchone()
+        row = self._conn.execute(self._get_query,
+                                 (config_hash,)).fetchone()
         if row is None:
             return None
-        return RunReport.from_record({name: row[name]
-                                      for name in self._columns})
+        return RunReport.from_record(dict(zip(self._columns, row)))
 
     def __contains__(self, config_hash: str) -> bool:
         return self.get(config_hash) is not None
@@ -267,7 +274,8 @@ class ResultStore:
         (e.g. ``"peak_c > 70 AND policy = 'migra'"``) — the store is a
         local artifact, so the query surface is deliberately plain SQL.
         """
-        query = "SELECT * FROM runs"
+        query = (f"SELECT config_hash, campaign, config, {self._metrics} "
+                 f"FROM runs")
         clauses, params = [], []
         if campaign is not None:
             clauses.append("campaign = ?")
@@ -289,11 +297,12 @@ class ResultStore:
             raise ValueError(
                 f"invalid where filter {where!r}: {error}") from None
         for row in rows:
-            report = RunReport.from_record(
-                {name: row[name] for name in self._columns})
-            out.append(StoredRun(config_hash=row["config_hash"],
-                                 campaign=row["campaign"],
-                                 config=json.loads(row["config"]),
+            config_hash, campaign, config, *metrics = row
+            report = RunReport.from_record(dict(zip(self._columns,
+                                                    metrics)))
+            out.append(StoredRun(config_hash=config_hash,
+                                 campaign=campaign,
+                                 config=json.loads(config),
                                  report=report))
         return out
 

@@ -16,11 +16,12 @@ so the campaign engine can key caches and result manifests on
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Tuple
 
 from repro.platform.presets import PlatformConfig
@@ -106,20 +107,22 @@ class ExperimentConfig:
     trace_enabled: bool = True
 
     def __post_init__(self) -> None:
-        # Imported here: the policy/workload registries import the OS
-        # and streaming stacks, which must not load just to define a
-        # config class.
-        from repro.policies.registry import policy_registry
-        from repro.streaming.registry import resolve_workload
-        from repro.thermal.solvers import solver_registry
+        policy_registry, resolve_workload, solver_registry = \
+            _late_imports()
+        # Types first, from the field table read off the dataclass
+        # (below).
+        for kind, value in zip(_FIELD_TYPES, _field_values(self)):
+            if type(value) is not kind:
+                self._coerce_types()
+                break
         policy_registry.resolve(self.policy)
         resolve_workload(self.workload)
         package_registry.resolve(self.package)
         platform_registry.resolve(self.platform)
         solver_registry.resolve(self.solver)
         if self.migration_strategy not in ("replication", "recreation"):
-            raise ValueError(
-                f"unknown migration strategy {self.migration_strategy!r}")
+            raise ValueError(f"unknown migration_strategy "
+                             f"{self.migration_strategy!r}")
         # NaN fails every comparison, so test for the valid range: a
         # NaN or infinite phase or period would never end a run, and a
         # NaN noise sigma or panic temperature silently turns the
@@ -130,7 +133,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got "
                                  f"{value!r}")
         for name in ("measure_s", "quantum_s", "sensor_period_s",
-                     "daemon_period_s", "frame_period_s"):
+                     "daemon_period_s", "frame_period_s", "load_period_s"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got "
@@ -138,29 +141,48 @@ class ExperimentConfig:
         if not -math.inf < self.panic_temp_c < math.inf:
             raise ValueError(f"panic_temp_c must be finite, got "
                              f"{self.panic_temp_c!r}")
-        # type(), not isinstance(): a bool is an int.  A float or a
-        # string would run under a hash of its own, or fail deep in
-        # the run.
-        for value in _int_values(self):
-            if type(value) is not int:
-                name = next(name for name in _INT_FIELDS
-                            if getattr(self, name) is value)
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        # Checked, not coerced, so no hash moves: a bool or a string
-        # would hash apart from the equal number.
-        threshold = self.threshold_c
-        if isinstance(threshold, bool) or \
-                not isinstance(threshold, (int, float)) or \
-                not 0 < threshold < math.inf:
+        if not 0 < self.threshold_c < math.inf:
             raise ValueError(f"threshold_c must be a finite number > 0, "
-                             f"got {threshold!r}")
+                             f"got {self.threshold_c!r}")
+        # A jitter outside [0, 1) used to fail only when the system was
+        # built, which in the fabric is after the task's retries.
+        if not 0 <= self.load_jitter < 1:
+            raise ValueError(f"load_jitter must lie in [0, 1), got "
+                             f"{self.load_jitter!r}")
+        # The phased load model's duty (LoadModel.validate applies the
+        # same rule to it and to the period above).
+        if not 0 < self.load_duty <= 1:
+            raise ValueError(f"load_duty must lie in (0, 1], got "
+                             f"{self.load_duty!r}")
         if self.n_cores < 1:
-            raise ValueError("need at least one core")
-        # Single-source the load-knob validation: these fields feed the
-        # phased model's period/duty, so its own validator is the rule.
-        from repro.streaming.spec import LoadModel
-        LoadModel(kind="phased", period_s=self.load_period_s,
-                  duty=self.load_duty).validate()
+            raise ValueError(f"n_cores must be >= 1, got {self.n_cores!r}")
+        # -0.0 == 0.0, so the two spellings are one config as well.
+        for name in _ZERO_VALID_FIELDS:
+            if getattr(self, name) == 0:
+                object.__setattr__(self, name, 0.0)
+
+    def _coerce_types(self) -> None:
+        """Coerce ints in float fields; reject any other mistyped field.
+
+        type(), not isinstance(): a bool is an int.  Float fields
+        coerce ints, so 3 and 3.0 are one config under one hash.  Any
+        other mistyped value (a bool or a string where a number goes,
+        a float where an int goes, a truthy string where a bool goes)
+        would run under a hash of its own or fail deep in the run.
+        """
+        for name, kind, value in zip(_FIELD_NAMES, _FIELD_TYPES,
+                                     _field_values(self)):
+            if type(value) is kind:
+                continue
+            if kind is float and isinstance(value, (int, float)) \
+                    and not isinstance(value, bool):
+                try:
+                    object.__setattr__(self, name, float(value))
+                    continue
+                except OverflowError:   # an int beyond the float range
+                    pass
+            raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got "
+                             f"{value!r}")
 
     # ------------------------------------------------------------------
     @property
@@ -183,20 +205,23 @@ class ExperimentConfig:
     # serialization (campaign caching and result manifests)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        """All fields as plain JSON-serializable types."""
-        return asdict(self)
+        """All fields as plain JSON-serializable types.
+
+        A shallow copy is exact: construction leaves every field a
+        str, int, float or bool.
+        """
+        return dict(zip(_FIELD_NAMES, _field_values(self)))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`; unknown keys raise."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
+        if not _FIELD_SET.issuperset(data):
+            unknown = sorted(set(data) - _FIELD_SET)
             raise ValueError(f"unknown config fields: {unknown}")
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return _canonical_json(self.to_dict())
 
     def config_hash(self) -> str:
         """Stable hex digest identifying this configuration.
@@ -227,7 +252,7 @@ class ExperimentConfig:
         if cached is None:
             data = self.to_dict()
             del data["solver"]
-            encoded = json.dumps(data, sort_keys=True).encode()
+            encoded = _canonical_json(data).encode()
             cached = hashlib.sha256(encoded).hexdigest()[:20]
             object.__setattr__(self, "_scenario_hash", cached)
         return cached
@@ -243,11 +268,41 @@ class ExperimentConfig:
         stay in the key: the OS daemons, the panic guard and deferred
         app arrivals read them during the warm-up.
         """
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self)
-                     if f.name not in POLICY_ONLY_FIELDS)
+        return tuple((name, getattr(self, name)) for name in _FIELD_NAMES
+                     if name not in POLICY_ONLY_FIELDS)
 
 
-#: The int fields, each checked to hold an int at construction.
-_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
-                    if f.type == "int")
-_int_values = operator.attrgetter(*_INT_FIELDS)
+@functools.lru_cache(maxsize=None)
+def _late_imports() -> Tuple:
+    """What construction validates against, imported on first use.
+
+    The policy and workload registries import the OS and streaming
+    stacks, which must not load just to define a config class.  Once
+    loaded, an import statement still costs about a microsecond, so
+    ``__post_init__`` does not repeat three of them per config.
+    """
+    from repro.policies.registry import policy_registry
+    from repro.streaming.registry import resolve_workload
+    from repro.thermal.solvers import solver_registry
+    return policy_registry, resolve_workload, solver_registry
+
+
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder
+#: per call.
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+#: What each field annotation requires, as an error message names it.
+_TYPE_NAMES = {str: "a str", float: "a real number", int: "an int",
+               bool: "a bool"}
+
+#: The field table, read off the dataclass: every field's name and
+#: type, in order.
+_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
+_FIELD_SET = frozenset(_FIELD_NAMES)
+_FIELD_TYPES = tuple({kind.__name__: kind for kind in _TYPE_NAMES}[f.type]
+                     for f in fields(ExperimentConfig))
+_field_values = operator.attrgetter(*_FIELD_NAMES)
+
+#: The float fields whose valid range includes zero (and so -0.0).
+_ZERO_VALID_FIELDS = ("warmup_s", "sensor_noise_c", "load_jitter",
+                      "panic_temp_c")

@@ -12,9 +12,10 @@ column, list-valued fields are JSON-encoded strings.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 
 @dataclass
@@ -136,7 +137,7 @@ class RunReport:
     @classmethod
     def record_columns(cls) -> List[str]:
         """Column names of the flat record schema, in field order."""
-        return [f.name for f in fields(cls)]
+        return [name for name, _, _, _ in _record_plan(cls)]
 
     def to_record(self) -> Dict:
         """One flat row: scalars verbatim, lists/dicts JSON-encoded.
@@ -146,11 +147,9 @@ class RunReport:
         metric individually queryable.
         """
         record = {}
-        for name in self.record_columns():
+        for name, encode, _, _ in _record_plan(type(self)):
             value = getattr(self, name)
-            if name in self.JSON_COLUMNS:
-                value = json.dumps(value, sort_keys=True)
-            record[name] = value
+            record[name] = value if encode is None else encode(value)
         return record
 
     @classmethod
@@ -167,25 +166,50 @@ class RunReport:
         leaves ``NULL`` there) must still load.
         """
         kwargs = {}
-        for f in fields(cls):
-            name = f.name
+        for name, _, decode, default in _record_plan(cls):
             value = record.get(name)
-            if value is None:
-                if f.default is not MISSING:
-                    value = f.default
-                elif f.default_factory is not MISSING:
-                    value = f.default_factory()
-                else:
-                    raise ValueError(
-                        f"record is missing required column {name!r}")
-            elif name in cls.JSON_COLUMNS:
-                if isinstance(value, str):
-                    value = json.loads(value)
-            elif name in cls.INT_COLUMNS:
-                value = int(value)
-            elif name in cls.STR_COLUMNS:
-                value = str(value)
-            else:
-                value = float(value)
-            kwargs[name] = value
+            kwargs[name] = default() if value is None else decode(value)
         return cls(**kwargs)
+
+
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder
+#: per call.
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _decode_json(value):
+    return json.loads(value) if isinstance(value, str) else value
+
+
+def _required(name: str) -> Callable:
+    def missing():
+        raise ValueError(f"record is missing required column {name!r}")
+    return missing
+
+
+@functools.lru_cache(maxsize=None)
+def _record_plan(cls: type) -> Tuple[Tuple, ...]:
+    """The record columns of a report class, built once per class.
+
+    One ``(name, encode, decode, default)`` per field: ``encode`` maps
+    the value to its column (``None``: stored verbatim), ``decode``
+    maps a non-``None`` column back, and ``default()`` gives the value
+    of a missing or ``None`` column (or raises if it is required).
+    """
+    plan = []
+    for f in fields(cls):
+        name = f.name
+        if name in cls.JSON_COLUMNS:
+            encode, decode = _encode_json, _decode_json
+        else:
+            encode = None
+            decode = (int if name in cls.INT_COLUMNS
+                      else str if name in cls.STR_COLUMNS else float)
+        if f.default is not MISSING:
+            default = (lambda value=f.default: value)
+        elif f.default_factory is not MISSING:
+            default = f.default_factory
+        else:
+            default = _required(name)
+        plan.append((name, encode, decode, default))
+    return tuple(plan)

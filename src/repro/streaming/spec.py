@@ -38,6 +38,7 @@ what a re-characterized task set does to the real platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -80,8 +81,10 @@ class LoadModel:
         if self.kind not in LOAD_KINDS:
             raise ValueError(f"unknown load model kind {self.kind!r}; "
                              f"expected one of {', '.join(LOAD_KINDS)}")
-        if self.kind in ("phased", "bursty") and self.period_s <= 0:
-            raise ValueError("load model period_s must be positive")
+        if self.kind in ("phased", "bursty") and \
+                not 0 < self.period_s < math.inf:
+            raise ValueError("load model period_s must be finite and "
+                             "positive")
         if self.kind == "phased":
             if not 0.0 < self.duty <= 1.0:
                 raise ValueError("phased duty must lie in (0, 1]")

@@ -4,7 +4,12 @@ Heavy end-to-end sweeps live in ``benchmarks/``; here we use shortened
 phases to validate the harness logic itself.
 """
 
+import json
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import (
     PACKAGES,
@@ -110,6 +115,104 @@ class TestConfig:
             ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_dict({field: value})
+
+
+#: Field name -> annotated type name ("str", "float", "int", "bool").
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+#: Any JSON value: what ``from_dict`` can be handed from a journal, a
+#: manifest or a campaign spec.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4)
+
+#: Values of the right type and mostly in range, so the property
+#: reaches accepted configs as well as rejections.
+_PLAUSIBLE = {
+    "str": st.sampled_from(["migra", "stopgo", "energy", "mobile",
+                            "highperf", "conf1", "conf2", "dense-exact",
+                            "euler", "sdr", "phased", "replication",
+                            "recreation"]),
+    "float": st.integers(0, 3) | st.floats(0.0, 1.0) | st.just(-0.0),
+    "int": st.integers(0, 6),
+    "bool": st.booleans(),
+}
+
+
+def _respell(value):
+    """An equal number spelled the other way: 2 <-> 2.0, -0.0 -> 0."""
+    if type(value) is int:
+        return float(value)
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return value
+
+
+class TestFieldTable:
+    """Construction types every field, so one experiment has one hash."""
+
+    def test_int_valued_floats_are_the_same_config(self):
+        ints = ExperimentConfig(threshold_c=3, warmup_s=2, measure_s=2)
+        floats = ExperimentConfig(threshold_c=3.0, warmup_s=2.0,
+                                  measure_s=2.0)
+        assert ints == floats
+        assert ints.config_hash() == floats.config_hash()
+        assert ints.scenario_hash() == floats.scenario_hash()
+        assert type(ints.threshold_c) is type(ints.warmup_s) is float
+        assert ExperimentConfig.from_dict(
+            {"threshold_c": 3, "warmup_s": 2, "measure_s": 2}) == floats
+
+    def test_negative_zero_is_zero(self):
+        assert ExperimentConfig(warmup_s=-0.0, panic_temp_c=-0.0) \
+            .config_hash() == ExperimentConfig(
+                warmup_s=0.0, panic_temp_c=0.0).config_hash()
+
+    @pytest.mark.parametrize("field, value", [
+        # Accepted and hashed before; 1.5 failed only at system build.
+        ("load_jitter", float("nan")), ("load_jitter", 1.5),
+        ("load_jitter", -0.2), ("load_jitter", 1.0),
+        # A truthy string ran with the guard on under its own hash.
+        ("panic_guard", "no"), ("panic_guard", 1), ("panic_guard", None),
+        ("trace_enabled", 0), ("trace_enabled", "yes"),
+        # Float fields: a bool ran as 0 or 1, a string or None failed
+        # with a bare TypeError, a huge int ran forever.
+        ("warmup_s", True), ("load_duty", True), ("load_period_s", False),
+        ("measure_s", "2"), ("sensor_noise_c", None),
+        ("panic_temp_c", "95"), ("measure_s", 10 ** 400),
+        # A NaN load period ran the phased workload with 0 frames.
+        ("load_period_s", float("nan")), ("load_period_s", float("inf")),
+        # String fields: an AttributeError or an unhashable-type error.
+        ("workload", 3), ("policy", ["migra"]),
+        ("migration_strategy", 3), ("n_cores", 0),
+    ])
+    def test_mistyped_or_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict({field: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.fixed_dictionaries({}, optional={
+        name: _PLAUSIBLE[kind] | _JSON
+        for name, kind in _FIELD_TYPES.items()}))
+    def test_from_dict_rejects_by_name_or_keeps_its_hash(self, data):
+        try:
+            config = ExperimentConfig.from_dict(data)
+        except (ValueError, TypeError) as error:
+            assert any(name in str(error) for name in data), \
+                (data, error)
+            return
+        again = ExperimentConfig.from_dict(json.loads(config.to_json()))
+        assert again.config_hash() == config.config_hash()
+        assert again.scenario_hash() == config.scenario_hash()
+        # Equal values hash equal, however the numbers are spelled.
+        respelled = ExperimentConfig.from_dict({
+            name: _respell(value) if _FIELD_TYPES[name] == "float"
+            else value for name, value in data.items()})
+        assert respelled.config_hash() == config.config_hash()
 
 
 class TestWarmupKey:

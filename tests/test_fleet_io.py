@@ -9,7 +9,9 @@ path must be *observably identical* to its per-row twin: identical
 ``canonical_bytes`` for the store, identical journal images for the
 queue.  These tests pin that equivalence, plus a Hypothesis property
 that batched enqueue stays idempotent under resubmission with
-interleaved torn rows.
+interleaved torn rows.  ``TestLeaseTransaction`` pins the lease's one
+write transaction and its index-served queries: concurrent leases take
+distinct groups, and no worker comes back empty while work is pending.
 
 The per-row enqueue reference exists only here
 (:func:`enqueue_per_row`); the store's per-row merge is the
@@ -19,15 +21,20 @@ cross-schema fallback ``ResultStore._merge_rows``, called directly.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sqlite3
+import threading
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.campaign import sweep
-from repro.campaign.backends import lockstep_group_key
-from repro.campaign.fabric import CampaignQueue, _parse_config, run_worker
+from repro.campaign import fabric, sweep
+from repro.campaign.backends import (ExecutionBackend, backend_registry,
+                                     lockstep_group_key)
+from repro.campaign.fabric import (CampaignQueue, Coordinator,
+                                   _parse_config, run_worker)
 from repro.campaign.store import BufferedWriter, ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import RunReport
@@ -511,6 +518,175 @@ class TestQueueStatus:
         # so they must not masquerade as a decades-old backlog.
         assert queue.status().pending_backlog_age_s is None
         queue.close()
+
+
+# ----------------------------------------------------------------------
+# queue: the lease transaction and its indexes
+# ----------------------------------------------------------------------
+_STUB = "fleet-io-stub"
+
+
+class _StubBackend(ExecutionBackend):
+    """A report per config, simulating nothing."""
+
+    name = _STUB
+
+    def execute(self, configs, workers):
+        return [_report(config.seed) for config in configs]
+
+
+def _group_of(task) -> str:
+    return json.dumps(lockstep_group_key(
+        ExperimentConfig.from_dict(task.config)))
+
+
+class TestLeaseTransaction:
+    def test_concurrent_leases_take_distinct_groups(self, tmp_path,
+                                                    monkeypatch):
+        base = ExperimentConfig(warmup_s=0.5, measure_s=1.0)
+        configs = sweep(base, package=("mobile", "highperf"),
+                        threshold_c=(1.0, 2.0, 3.0))
+        queue = CampaignQueue(tmp_path, lease_timeout_s=60.0)
+        queue.enqueue(configs, campaign="fleet")
+        queue.close()
+        # Pause the first lease inside its transaction, on its first
+        # config parse, and start a second lease meanwhile.
+        paused, release = threading.Event(), threading.Event()
+        parse = fabric._parse_config
+
+        def pausing_parse(payload):
+            if threading.current_thread().name == "first" and \
+                    not paused.is_set():
+                paused.set()
+                release.wait(10.0)
+            return parse(payload)
+
+        monkeypatch.setattr(fabric, "_parse_config", pausing_parse)
+        leased = {}
+
+        def lease(worker_id):
+            # One connection per thread, as one per worker process.
+            with CampaignQueue(tmp_path) as own:
+                leased[worker_id] = own.lease(worker_id)
+
+        first = threading.Thread(target=lease, args=("A",), name="first")
+        first.start()
+        assert paused.wait(10.0)
+        second = threading.Thread(target=lease, args=("B",),
+                                  name="second")
+        second.start()
+        # A lease that chose its group outside the transaction would
+        # finish here, taking the group the paused one is about to.
+        second.join(1.0)
+        release.set()
+        first.join(20.0)
+        second.join(20.0)
+        assert not first.is_alive() and not second.is_alive()
+        groups = {worker: {_group_of(task) for task in tasks}
+                  for worker, tasks in leased.items()}
+        assert [len(leased["A"]), len(leased["B"])] == [3, 3], groups
+        assert len(groups["A"]) == len(groups["B"]) == 1
+        assert groups["A"] != groups["B"]
+
+    def test_lease_queries_are_index_served(self, tmp_path):
+        queue = CampaignQueue(tmp_path, lease_timeout_s=60.0)
+        queue.enqueue(_configs(4), campaign="fleet")
+        statements = []
+        queue._conn.set_trace_callback(statements.append)
+        assert queue.lease("w0")
+        queue._conn.set_trace_callback(None)
+        reads = [sql for sql in statements if sql.startswith("SELECT")
+                 and "state = 'pending'" in sql]
+        head = next(sql for sql in reads if sql.endswith("LIMIT 1"))
+        group = next(sql for sql in reads if "group_key =" in sql)
+
+        def plan(sql):
+            # Traced SQL carries its values inline where the sqlite3
+            # module expands them, else ``?`` placeholders.
+            return " | ".join(row[3] for row in queue._conn.execute(
+                f"EXPLAIN QUERY PLAN {sql}", [None] * sql.count("?")))
+
+        # The head query reads the oldest pending row off an index in
+        # rowid order and stops: no sort of the whole backlog.
+        assert "USING INDEX" in plan(head)
+        assert "TEMP B-TREE" not in plan(head), plan(head)
+        # The group query reads only the group's rows off an index.
+        assert "USING INDEX" in plan(group)
+        assert "group_key=?" in plan(group), plan(group)
+        queue.close()
+
+    def test_superseded_index_is_dropped_on_open(self, tmp_path):
+        queue = CampaignQueue(tmp_path)
+        queue._conn.execute("CREATE INDEX IF NOT EXISTS idx_tasks_ready "
+                            "ON tasks (state, not_before)")
+        queue._conn.commit()
+        queue.close()
+        with CampaignQueue(tmp_path) as reopened:
+            names = {row[0] for row in reopened._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND tbl_name = 'tasks' AND sql IS NOT NULL")}
+        assert names == {"idx_tasks_state", "idx_tasks_group"}
+
+    def test_reclaim_with_nothing_expired_takes_no_write_lock(self,
+                                                              tmp_path):
+        holder = CampaignQueue(tmp_path, lease_timeout_s=60.0)
+        holder.enqueue(_configs(2), campaign="fleet")
+        holder.lease("w0")
+        poller = CampaignQueue(tmp_path)
+        poller._conn.execute("PRAGMA busy_timeout = 50")
+        holder._conn.execute("BEGIN IMMEDIATE")
+        try:
+            # Nothing expired: a read, not a wait for the writer.
+            assert poller.reclaim_expired() == 0
+        finally:
+            holder._conn.rollback()
+            poller.close()
+            holder.close()
+
+    def test_four_workers_drain_every_group_once(self, tmp_path,
+                                                 monkeypatch):
+        base = ExperimentConfig(warmup_s=0.5, measure_s=1.0)
+        configs = sweep(base, package=("mobile", "highperf"),
+                        n_cores=(2, 3, 4, 5, 6),
+                        measure_s=tuple(1.0 + 0.5 * i for i in range(8)),
+                        seed=(1, 2))
+        groups = {json.dumps(lockstep_group_key(c)) for c in configs}
+        assert len(groups) == 80 and len(configs) == 160
+        # Count, across the forked workers, leases that came back
+        # empty while a task was still pending: each one is a worker
+        # that lost a race for a group and then slept.
+        wasted = multiprocessing.Value("i", 0)
+        lease = CampaignQueue.lease
+
+        def counting_lease(self, *args, **kwargs):
+            tasks = lease(self, *args, **kwargs)
+            if not tasks and self._conn.execute(
+                    "SELECT 1 FROM tasks WHERE state = 'pending' "
+                    "LIMIT 1").fetchone():
+                with wasted.get_lock():
+                    wasted.value += 1
+            return tasks
+
+        monkeypatch.setattr(CampaignQueue, "lease", counting_lease)
+        coordinator = Coordinator(tmp_path / "queue",
+                                  lease_timeout_s=300.0,
+                                  worker_backend=_STUB)
+        coordinator.enqueue(configs, campaign="fleet")
+        start = time.monotonic()
+        with backend_registry.temporarily(_STUB, _StubBackend()):
+            coordinator.run(workers=4)
+        assert time.monotonic() - start < 60.0
+        rows = coordinator.queue._conn.execute(
+            "SELECT state, attempts FROM tasks").fetchall()
+        assert len(rows) == len(configs)
+        assert {tuple(row) for row in rows} == {("done", 1)}
+        merged = coordinator.merged_store()
+        assert len(merged) == len(configs)
+        assert merged.campaign_hashes("fleet") \
+            == {config.config_hash() for config in configs}
+        merged.close()
+        coordinator.close()
+        assert wasted.value == 0
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,16 @@ class TestParity:
                                     n_cores=4, n_bands=4)
         assert spec.to_json() == legacy.to_json()
 
+    def test_sdr_parity_where_queue_capacity_matters(self):
+        # At the default capacity (6) the SDR queues never hold more
+        # than 2 frames in this short run, so a capacity wired from the
+        # wrong place would still match; at capacity 1 the queues fill.
+        spec, legacy = _reports_for("sdr", _legacy_sdr, queue_capacity=1)
+        assert spec.to_json() == legacy.to_json()
+        roomier = run_experiment(ExperimentConfig(
+            workload="sdr", queue_capacity=2, **SHORT)).report
+        assert roomier.to_json() != spec.to_json()
+
     def test_fig1_spec_byte_identical_to_factory(self):
         spec, legacy = _reports_for("fig1", _legacy_fig1, n_cores=2,
                                     policy="energy")
