@@ -1,12 +1,14 @@
 """Shared benchmark configuration.
 
-Every benchmark regenerates one table or figure of the paper with the
-full experimental protocol (12.5 s warm-up + 25 s measured, Sec. 5.2)
-and prints the series it produced, so ``pytest benchmarks/
---benchmark-only -s`` doubles as the reproduction log.  Runs are cached
-across benchmarks (Figs. 7/8 share the mobile matrix, Figs. 9/10 the
-high-performance one, Fig. 11 reuses both), so the whole suite performs
-each simulation once.
+The figure and table tests regenerate one table or figure of the
+paper with the full experimental protocol (12.5 s warm-up + 25 s
+measured, Sec. 5.2), assert its shape and print the series it
+produced, so ``pytest benchmarks/ -s`` doubles as the reproduction log.
+Runs are cached across tests (Figs. 7/8 share the mobile matrix, Figs.
+9/10 the high-performance one, Fig. 11 reuses both), so the whole suite
+performs each simulation once.  The other files assert floors on the
+engine's throughput paths; the repository's performance numbers come
+from ``perfbench/run.py`` alone.
 """
 
 from __future__ import annotations

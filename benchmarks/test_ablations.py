@@ -5,7 +5,6 @@ mechanism of the policy/middleware and prints the impact, quantifying
 *why* the pieces exist.
 """
 
-import pytest
 from conftest import emit
 
 from repro.experiments import ablation
@@ -16,10 +15,8 @@ from repro.experiments.config import ExperimentConfig
 BASE = ExperimentConfig(warmup_s=12.5, measure_s=15.0)
 
 
-def test_ablation_candidate_filter(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_candidate_filter,
-        kwargs={"base": BASE}, rounds=1, iterations=1)
+def test_ablation_candidate_filter():
+    rows = ablation.ablation_candidate_filter(base=BASE)
     emit(ablation.render("Ablation: phase-1 candidate filter "
                          "(condition 2 on/off, high-perf, theta=2)", rows))
     full, nofilter = rows
@@ -27,10 +24,8 @@ def test_ablation_candidate_filter(benchmark):
     # balance; it typically migrates more for equal or worse control.
     assert nofilter.pooled_std_c >= full.pooled_std_c - 0.15
 
-def test_ablation_top_k(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_top_k, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_top_k():
+    rows = ablation.ablation_top_k(base=BASE)
     emit(ablation.render("Ablation: phase-2 search width top_k", rows))
     by_k = {r.label: r for r in rows}
     # The paper's pruning claim: considering only the highest-load few
@@ -40,10 +35,8 @@ def test_ablation_top_k(benchmark):
                - by_k["top_k=2"].pooled_std_c) < 0.5
 
 
-def test_ablation_strategy(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_strategy, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_strategy():
+    rows = ablation.ablation_strategy(base=BASE)
     emit(ablation.render("Ablation: replication vs recreation under the "
                          "full policy", rows))
     repl, recr = rows
@@ -52,10 +45,8 @@ def test_ablation_strategy(benchmark):
     assert recr.deadline_misses <= repl.deadline_misses + 25
 
 
-def test_ablation_queue_capacity(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_queue_capacity, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_queue_capacity():
+    rows = ablation.ablation_queue_capacity(base=BASE)
     emit(ablation.render("Ablation: queue capacity vs Stop&Go misses",
                          rows))
     misses = [r.deadline_misses for r in rows]
@@ -63,10 +54,8 @@ def test_ablation_queue_capacity(benchmark):
     assert misses[-1] <= misses[0]
 
 
-def test_ablation_sensor_period(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_sensor_period, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_sensor_period():
+    rows = ablation.ablation_sensor_period(base=BASE)
     emit(ablation.render("Ablation: sensor period (high-perf, theta=2)",
                          rows))
     by_label = {r.label: r for r in rows}
@@ -76,10 +65,8 @@ def test_ablation_sensor_period(benchmark):
             >= by_label["sensor=10ms"].pooled_std_c - 0.1)
 
 
-def test_ablation_sensor_noise(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_sensor_noise, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_sensor_noise():
+    rows = ablation.ablation_sensor_noise(base=BASE)
     emit(ablation.render("Ablation: sensor noise (mobile, theta=2)", rows))
     clean, *_, noisiest = rows
     # Graceful degradation: balance within 0.5 C of the clean run even
@@ -89,10 +76,8 @@ def test_ablation_sensor_noise(benchmark):
     assert noisiest.deadline_misses <= 3
 
 
-def test_ablation_load_jitter(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_load_jitter, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_load_jitter():
+    rows = ablation.ablation_load_jitter(base=BASE)
     emit(ablation.render("Ablation: per-frame load jitter "
                          "(mobile, theta=2)", rows))
     clean, *_, wildest = rows
@@ -102,10 +87,8 @@ def test_ablation_load_jitter(benchmark):
     assert wildest.deadline_misses <= 3
 
 
-def test_ablation_stopgo_variant(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_stopgo_variant, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_stopgo_variant():
+    rows = ablation.ablation_stopgo_variant(base=BASE)
     emit(ablation.render("Ablation: Stop&Go modified (relative band) vs "
                          "original (panic + timeout)", rows))
     modified, original = rows
@@ -114,10 +97,8 @@ def test_ablation_stopgo_variant(benchmark):
     assert original.deadline_misses > 50
 
 
-def test_ablation_platform(benchmark):
-    rows = benchmark.pedantic(
-        ablation.ablation_platform, kwargs={"base": BASE},
-        rounds=1, iterations=1)
+def test_ablation_platform():
+    rows = ablation.ablation_platform(base=BASE)
     emit(ablation.render("Ablation: Conf1 vs Conf2 power configuration",
                          rows))
     by_label = {r.label: r for r in rows}

@@ -1,20 +1,19 @@
-"""Campaign engine throughput: parallel sweep speedup over serial.
+"""Campaign engine floors: parallel and lockstep sweeps vs serial.
 
-Benchmarks the same 8-run threshold sweep through ``CampaignRunner``
-with 1 worker and with ``N`` workers (fresh runner per round, so every
-round simulates from scratch).  ``pytest benchmarks/ --benchmark-only
--k campaign`` compares the two; the speedup assertion is deliberately
-loose — on a single-core box (CI containers) the parallel path can
-only track its own pool overhead, and even multi-core runs pay real
-start-up costs — but a parallel sweep regressing to much slower than
-serial should fail loudly.
+Runs the same 8-run threshold sweep through ``CampaignRunner`` with 1
+worker and with ``N`` workers (fresh runner per call, so every run
+simulates from scratch) and prints the wall clocks.  The speedup
+assertion is deliberately loose — on a single-core box (CI
+containers) the parallel path can only track its own pool overhead,
+and even multi-core runs pay real start-up costs — but a parallel
+sweep regressing to much slower than serial should fail loudly.
+perfbench measures these paths: ``sweep-serial`` the serial backend,
+``mix-lockstep`` the vectorized one.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
 import time
 
 from repro.campaign import CampaignRunner, expand_campaign, sweep
@@ -38,22 +37,20 @@ def _run_sweep(workers: int):
         _CONFIGS, name=f"throughput-w{workers}")
 
 
-def test_campaign_serial(benchmark):
-    result = benchmark.pedantic(_run_sweep, args=(1,),
-                                iterations=1, rounds=2)
+def test_campaign_serial():
+    result = _run_sweep(1)
     assert len(result.runs) == len(_CONFIGS)
     assert result.n_cached == 0
 
 
-def test_campaign_parallel(benchmark):
-    result = benchmark.pedantic(_run_sweep, args=(_PARALLEL_WORKERS,),
-                                iterations=1, rounds=2)
+def test_campaign_parallel():
+    result = _run_sweep(_PARALLEL_WORKERS)
     assert len(result.runs) == len(_CONFIGS)
     assert result.n_cached == 0
 
 
 def test_parallel_speedup_over_serial():
-    """Direct wall-clock comparison, reported as the sweep artifact."""
+    """Direct wall-clock comparison of the two worker counts."""
     from repro.thermal.cache import cache_stats, clear_artifact_cache
     clear_artifact_cache()
     t0 = time.perf_counter()
@@ -122,26 +119,23 @@ def test_serial_fan_out_matches_in_process_and_reports_timing():
 
 def test_vectorized_backend_speedup_artifact():
     """In-process serial vs vectorized on the threshold-sweep smoke
-    (sparse-exact), written as a JSON artifact when
-    ``VECTORIZED_JSON=<path>`` is in the environment (CI points it at
-    the committed ``BENCH_vectorized.json`` and uploads it).
+    (sparse-exact): byte-identical manifests, and lockstep no slower
+    than serial beyond measurement noise.
 
     The vectorized backend collapses each sensor epoch's K thermal
     advances into one ``advance_batch`` mat-mat; its advantage over
     serial therefore scales with the thermal solver's share of the
     run — modest on the paper's small conf1 network, larger on big
     floorplans — and unlike a worker pool it does not need spare
-    cores.  The artifact records configs/sec and workers per backend
-    plus the solver-artifact cache counters and the machine's core
-    count, so numbers from different machines stay comparable.
+    cores.
     """
-    from repro.thermal.cache import cache_stats, clear_artifact_cache
+    from repro.thermal.cache import clear_artifact_cache
 
     base = ExperimentConfig(warmup_s=2.0, measure_s=5.0,
                             solver="sparse-exact")
     configs = expand_campaign("threshold-sweep", base)
 
-    timings = {}
+    elapsed = {}
     manifests = {}
     # serial on one worker: the in-process path the floor below has
     # always compared vectorized against.
@@ -152,50 +146,18 @@ def test_vectorized_backend_speedup_artifact():
         result = CampaignRunner(workers=workers,
                                 backend=backend).run(
             configs, name="bench-vectorized")
-        elapsed = time.perf_counter() - t0
-        stats = cache_stats()   # in-process counters; pool workers
-        manifests[backend] = result.to_json()   # keep their own
-        timings[backend] = {
-            "workers": workers,
-            "elapsed_s": round(elapsed, 3),
-            "configs_per_s": round(len(configs) / elapsed, 3),
-            "cache_stats": {"hits": stats.hits, "misses": stats.misses,
-                            "evictions": stats.evictions,
-                            "size": stats.size},
-        }
+        elapsed[backend] = time.perf_counter() - t0
+        manifests[backend] = result.to_json()
 
     # The backends are pure throughput knobs: byte-identical manifests.
     assert manifests["serial"] == manifests["vectorized"]
 
-    serial_rate = timings["serial"]["configs_per_s"]
-    artifact = {
-        "campaign": "threshold-sweep",
-        "n_configs": len(configs),
-        "solver": "sparse-exact",
-        "warmup_s": 2.0,
-        "measure_s": 5.0,
-        "cpu_count": multiprocessing.cpu_count(),
-        "backends": timings,
-        "speedup_vs_serial": {
-            backend: round(row["configs_per_s"] / serial_rate, 3)
-            for backend, row in timings.items()},
-    }
-    artifact_path = os.environ.get("VECTORIZED_JSON")
-    if artifact_path:
-        with open(artifact_path, "w") as handle:
-            handle.write(json.dumps(artifact, indent=2, sort_keys=True)
-                         + "\n")
-
-    lines = [f"vectorized backend comparison: {len(configs)} configs, "
-             f"sparse-exact, cpu_count={artifact['cpu_count']}"]
-    for backend, row in timings.items():
-        lines.append(f"  {backend:<12} {row['elapsed_s']:>7.2f}s "
-                     f"{row['configs_per_s']:>7.2f} configs/s "
-                     f"({artifact['speedup_vs_serial'][backend]:.2f}x)")
-    if artifact_path:
-        lines.append(f"artifact written to {artifact_path}")
-    emit("\n".join(lines))
+    speedup_vs_serial = elapsed["serial"] / elapsed["vectorized"]
+    emit(f"vectorized backend comparison: {len(configs)} configs, "
+         f"sparse-exact: serial (1 worker) {elapsed['serial']:.2f}s vs "
+         f"vectorized ({_PARALLEL_WORKERS} workers) "
+         f"{elapsed['vectorized']:.2f}s -> {speedup_vs_serial:.2f}x")
 
     # Loose floor: lockstep batching must never lose to serial by more
     # than measurement noise (its real win grows with network size).
-    assert artifact["speedup_vs_serial"]["vectorized"] > 0.9
+    assert speedup_vs_serial > 0.9

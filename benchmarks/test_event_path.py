@@ -1,8 +1,8 @@
-"""Event-path throughput: coalesced slice engine vs per-quantum oracle.
+"""Event-path floors: coalesced slice engine vs per-quantum oracle.
 
-Two complementary measurements, written as a JSON artifact when
-``EVENT_PATH_JSON=<path>`` is in the environment (CI points it at the
-committed ``BENCH_event_path.json`` and uploads it):
+Two complementary checks, each printed as it runs (perfbench's
+``sweep-serial`` workload measures the event path of whole runs, as
+``sim.event_path_s`` with ``--trace 1``):
 
 * **micro** — a pure OS/scheduler stack (three pipelined tasks on
   three tiles, periodic source and sink, no thermal subsystem), where
@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import json
 import multiprocessing
-import os
 import sys
 import time
 from pathlib import Path
@@ -90,7 +89,6 @@ def _run_micro(t_end: float = 30.0):
         "slices_run": sum(s.slices_run for s in mpos.schedulers),
         "slices_coalesced": sum(s.slices_coalesced
                                 for s in mpos.schedulers),
-        "frames_done": sum(t.frames_done for t in mpos.tasks),
     }
 
 
@@ -103,9 +101,6 @@ def _micro_rows():
                 row = _run_micro()
             if best is None or row["elapsed_s"] < best["elapsed_s"]:
                 best = row
-        best["events_per_s"] = round(
-            best["events_executed"] / best["elapsed_s"])
-        best["elapsed_s"] = round(best["elapsed_s"], 4)
         rows[key] = best
     return rows
 
@@ -126,12 +121,12 @@ def _run_campaign(backend: str, key: str):
     slices = sum(r.report.slices_run for r in result.runs)
     coalesced = sum(r.report.slices_coalesced for r in result.runs)
     return result, {
-        "elapsed_s": round(elapsed, 3),
-        "configs_per_s": round(len(configs) / elapsed, 3),
+        "elapsed_s": elapsed,
+        "configs_per_s": len(configs) / elapsed,
         "events_executed": events,
         "slices_run": slices,
         "slices_coalesced": coalesced,
-    }, len(configs)
+    }
 
 
 def _strip_event_path(manifest_json: str) -> str:
@@ -153,7 +148,7 @@ def test_event_path_artifact():
     manifests = {}
     for backend in ("serial", "vectorized"):
         for key in ("coalesced", "legacy"):
-            result, row, n_configs = _run_campaign(backend, key)
+            result, row = _run_campaign(backend, key)
             sweep_rows[f"{backend}.{key}"] = row
             manifests[f"{backend}.{key}"] = result.to_json()
 
@@ -175,26 +170,6 @@ def test_event_path_artifact():
     sweep_reduction = (sweep_rows["serial.legacy"]["events_executed"]
                        / sweep_rows["serial.coalesced"]["events_executed"])
 
-    artifact = {
-        "campaign": "threshold-sweep",
-        "n_configs": n_configs,
-        "solver": "sparse-exact",
-        "warmup_s": 2.0,
-        "measure_s": 5.0,
-        "workers": _WORKERS,
-        "cpu_count": multiprocessing.cpu_count(),
-        "micro": micro,
-        "micro_event_path_speedup": round(micro_speedup, 3),
-        "micro_events_reduction": round(micro_reduction, 3),
-        "threshold_sweep": sweep_rows,
-        "sweep_events_reduction": round(sweep_reduction, 3),
-    }
-    artifact_path = os.environ.get("EVENT_PATH_JSON")
-    if artifact_path:
-        with open(artifact_path, "w") as handle:
-            handle.write(json.dumps(artifact, indent=2, sort_keys=True)
-                         + "\n")
-
     lines = [f"event path: micro speedup {micro_speedup:.2f}x "
              f"({micro['legacy']['events_executed']} -> "
              f"{micro['coalesced']['events_executed']} events, "
@@ -205,8 +180,6 @@ def test_event_path_artifact():
                      f"{row['events_executed']:>9} events")
     lines.append(f"threshold-sweep events reduced "
                  f"{sweep_reduction:.2f}x with coalescing")
-    if artifact_path:
-        lines.append(f"artifact written to {artifact_path}")
     emit("\n".join(lines))
 
     # Deterministic: coalescing must collapse >= 5x of the kernel

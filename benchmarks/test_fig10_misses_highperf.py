@@ -12,9 +12,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure8, figure10
 
 
-def test_fig10_misses_highperf(benchmark, paper_protocol):
-    fig = benchmark.pedantic(
-        figure10, kwargs={"base": paper_protocol}, rounds=1, iterations=1)
+def test_fig10_misses_highperf(paper_protocol):
+    fig = figure10(base=paper_protocol)
     emit(fig.to_text())
 
     stopgo = fig.series[POLICY_LABELS["stopgo"]]

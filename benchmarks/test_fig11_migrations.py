@@ -14,9 +14,8 @@ from conftest import emit
 from repro.experiments.figures import figure11
 
 
-def test_fig11_migrations(benchmark, paper_protocol):
-    fig = benchmark.pedantic(
-        figure11, kwargs={"base": paper_protocol}, rounds=1, iterations=1)
+def test_fig11_migrations(paper_protocol):
+    fig = figure11(base=paper_protocol)
     emit(fig.to_text())
 
     mobile = fig.series["embedded mobile"]

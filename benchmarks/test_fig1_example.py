@@ -12,9 +12,8 @@ from conftest import emit
 from repro.experiments.figure1 import figure1
 
 
-def test_fig1_two_core_example(benchmark, paper_protocol):
-    result = benchmark.pedantic(
-        figure1, kwargs={"base": paper_protocol}, rounds=1, iterations=1)
+def test_fig1_two_core_example(paper_protocol):
+    result = figure1(base=paper_protocol)
     emit(result.to_text())
 
     # Energy-balanced: DVFS picked the lowest covering points.

@@ -11,8 +11,8 @@ from conftest import emit
 from repro.experiments.figures import figure2
 
 
-def test_fig2_migration_cost(benchmark):
-    fig = benchmark.pedantic(figure2, rounds=1, iterations=1)
+def test_fig2_migration_cost():
+    fig = figure2()
     emit(fig.to_text())
 
     repl = fig.series["task-replication"]

@@ -12,9 +12,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure7
 
 
-def test_fig7_stddev_mobile(benchmark, paper_protocol):
-    fig = benchmark.pedantic(
-        figure7, kwargs={"base": paper_protocol}, rounds=1, iterations=1)
+def test_fig7_stddev_mobile(paper_protocol):
+    fig = figure7(base=paper_protocol)
     emit(fig.to_text())
 
     energy = fig.series[POLICY_LABELS["energy"]]

@@ -11,9 +11,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure8
 
 
-def test_fig8_misses_mobile(benchmark, paper_protocol):
-    fig = benchmark.pedantic(
-        figure8, kwargs={"base": paper_protocol}, rounds=1, iterations=1)
+def test_fig8_misses_mobile(paper_protocol):
+    fig = figure8(base=paper_protocol)
     emit(fig.to_text())
 
     energy = fig.series[POLICY_LABELS["energy"]]

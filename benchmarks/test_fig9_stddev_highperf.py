@@ -12,9 +12,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure9
 
 
-def test_fig9_stddev_highperf(benchmark, paper_protocol):
-    fig = benchmark.pedantic(
-        figure9, kwargs={"base": paper_protocol}, rounds=1, iterations=1)
+def test_fig9_stddev_highperf(paper_protocol):
+    fig = figure9(base=paper_protocol)
     emit(fig.to_text())
 
     energy = fig.series[POLICY_LABELS["energy"]]

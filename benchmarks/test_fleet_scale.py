@@ -1,13 +1,13 @@
 """Fleet-scale store & queue I/O: batched hot paths vs per-row calls.
 
-Measures the throughput of the four persistence hot paths at
-10^4–10^5 synthetic tasks (``FLEET_SCALE_N``, default 10^4), each
-against its honest per-row baseline —
+Checks the throughput of the four persistence hot paths at 10^4
+synthetic tasks, each against its honest per-row baseline, and prints
+the rates —
 
 * **enqueue** — one batched :meth:`CampaignQueue.enqueue` vs one
   enqueue call per config (the pre-batching usage pattern: every call
-  probes, inserts and commits its own row), plus the no-op
-  resubmission rate that gates campaign resumes;
+  probes, inserts and commits its own row), plus a resubmission of
+  the same configs, which a campaign resume relies on adding nothing;
 * **drain** — two worker processes racing ``lease(limit=256)`` /
   ``complete_many`` loops over the full journal (pure queue machinery,
   no simulation), the task-turnover ceiling of the fabric;
@@ -21,23 +21,18 @@ The synthetic configs are duck-typed stand-ins (hash, dict payload and
 the lockstep-group fields) so the measurement isolates SQLite I/O from
 simulation and hashing cost.  Per-row baselines are sampled at up to
 ``_BASELINE_ROWS`` rows and compared by rows/s, which keeps the
-benchmark inside tier-1 runtime at any N.  With
-``FLEET_SCALE_JSON=<path>`` in the environment the results are written
-as a JSON artifact (CI points it at the committed ``BENCH_fleet.json``
-and uploads it).
+test inside tier-1 runtime.  perfbench's ``fleet-drain`` workload
+measures the same paths (enqueue, resubmit, lease, ``put_many``,
+``complete_many``, merge) at 2x10^4 tasks.
 
 Per-row baselines run in the *seed* journal configuration
-(rollback journal, ``synchronous=FULL``) — the before state this PR
-replaced, where every call paid a durable commit.  The per-row rate
-under WAL is reported alongside (``per_row_wal_rows_per_s``) so the
-artifact separates what batching buys from what the journal mode buys.
+(rollback journal, ``synchronous=FULL``) — the before state the
+batched paths replaced, where every call paid a durable commit.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
 import time
 from pathlib import Path
 
@@ -47,7 +42,7 @@ from repro.metrics.report import RunReport
 
 from conftest import emit
 
-_N = int(os.environ.get("FLEET_SCALE_N", "10000"))
+_N = 10_000
 #: Cap on the per-row baseline sample: big enough for a stable rate,
 #: small enough that a commit-per-call loop stays in seconds.
 _BASELINE_ROWS = 1500
@@ -109,15 +104,10 @@ def _seed_journal_mode(conn) -> None:
     The seed code ran SQLite in its defaults — rollback journal,
     ``synchronous=FULL`` — so every per-row call paid one durable
     commit.  The per-row baselines run in that mode to measure the
-    path this PR actually replaced.
+    path the batched calls actually replaced.
     """
     conn.execute("PRAGMA journal_mode=DELETE")
     conn.execute("PRAGMA synchronous=FULL")
-
-
-def _round_rates(row: dict) -> dict:
-    return {key: (round(value, 1) if isinstance(value, float) else value)
-            for key, value in row.items()}
 
 
 # ----------------------------------------------------------------------
@@ -132,35 +122,25 @@ def _bench_enqueue(tmp: Path) -> dict:
     batched_s = time.perf_counter() - t0
     assert added == _N
 
-    t0 = time.perf_counter()
-    assert queue.enqueue(configs, campaign="fleet") == 0
-    resubmit_s = time.perf_counter() - t0
+    assert queue.enqueue(configs, campaign="fleet") == 0  # no-op resubmit
     queue.close()
 
     sample = configs[:min(_N, _BASELINE_ROWS)]
-    per_row = {}
-    for mode, pin in (("seed", _seed_journal_mode), ("wal", None)):
-        baseline = CampaignQueue(tmp / f"per-row-{mode}")
-        if pin is not None:
-            pin(baseline._conn)
-        t0 = time.perf_counter()
-        for config in sample:
-            # The pre-batching usage pattern: one probe + insert +
-            # commit per submitted config.
-            baseline.enqueue([config], campaign="fleet")
-        per_row[mode] = _rate(len(sample),
-                              time.perf_counter() - t0)
-        assert baseline.counts()["pending"] == len(sample)
-        baseline.close()
+    baseline = CampaignQueue(tmp / "per-row")
+    _seed_journal_mode(baseline._conn)
+    t0 = time.perf_counter()
+    for config in sample:
+        # The pre-batching usage pattern: one probe + insert + commit
+        # per submitted config.
+        baseline.enqueue([config], campaign="fleet")
+    per_row = _rate(len(sample), time.perf_counter() - t0)
+    assert baseline.counts()["pending"] == len(sample)
+    baseline.close()
 
     return {
-        "n": _N,
-        "baseline_rows": len(sample),
         "batched_rows_per_s": _rate(_N, batched_s),
-        "resubmit_rows_per_s": _rate(_N, resubmit_s),
-        "per_row_rows_per_s": per_row["seed"],
-        "per_row_wal_rows_per_s": per_row["wal"],
-        "speedup": _rate(_N, batched_s) / per_row["seed"],
+        "per_row_rows_per_s": per_row,
+        "speedup": _rate(_N, batched_s) / per_row,
     }
 
 
@@ -209,9 +189,7 @@ def _bench_drain(tmp: Path) -> dict:
     counts = queue.counts()
     assert counts["done"] == _N and counts["pending"] == 0, counts
     queue.close()
-    return {"n": _N, "workers": workers,
-            "lease_limit": _LEASE_LIMIT,
-            "tasks_per_s": _rate(_N, elapsed)}
+    return {"workers": workers, "tasks_per_s": _rate(_N, elapsed)}
 
 
 # ----------------------------------------------------------------------
@@ -228,26 +206,18 @@ def _bench_put(tmp: Path) -> dict:
     batched.close()
 
     sample = rows[:min(_N, _BASELINE_ROWS)]
-    per_row = {}
-    for mode, pin in (("seed", _seed_journal_mode), ("wal", None)):
-        baseline = ResultStore(tmp / f"put-per-row-{mode}.sqlite")
-        if pin is not None:
-            pin(baseline._conn)
-        t0 = time.perf_counter()
-        for config_hash, config, report in sample:
-            baseline.put(config_hash, config, report,
-                         campaign="fleet")
-        per_row[mode] = _rate(len(sample),
-                              time.perf_counter() - t0)
-        baseline.close()
+    baseline = ResultStore(tmp / "put-per-row.sqlite")
+    _seed_journal_mode(baseline._conn)
+    t0 = time.perf_counter()
+    for config_hash, config, report in sample:
+        baseline.put(config_hash, config, report, campaign="fleet")
+    per_row = _rate(len(sample), time.perf_counter() - t0)
+    baseline.close()
 
     return {
-        "n": _N,
-        "baseline_rows": len(sample),
         "batched_rows_per_s": _rate(_N, batched_s),
-        "per_row_rows_per_s": per_row["seed"],
-        "per_row_wal_rows_per_s": per_row["wal"],
-        "speedup": _rate(_N, batched_s) / per_row["seed"],
+        "per_row_rows_per_s": per_row,
+        "speedup": _rate(_N, batched_s) / per_row,
     }
 
 
@@ -272,17 +242,13 @@ def _bench_merge(tmp: Path) -> dict:
     assert attach.canonical_bytes() == rows.canonical_bytes() \
         == source.canonical_bytes()
 
-    t0 = time.perf_counter()
     assert attach.merge_from(source) == 0     # idempotent re-merge
-    noop_s = time.perf_counter() - t0
 
     for store in (source, attach, rows):
         store.close()
     return {
-        "n": _N,
         "attach_rows_per_s": _rate(_N, attach_s),
         "row_loop_rows_per_s": _rate(_N, rows_s),
-        "noop_remerge_rows_per_s": _rate(_N, noop_s),
         "speedup": rows_s / max(attach_s, 1e-9),
     }
 
@@ -294,19 +260,6 @@ def test_fleet_scale_artifact(tmp_path):
         "put": _bench_put(tmp_path),
         "merge": _bench_merge(tmp_path),
     }
-
-    artifact = {
-        "n_tasks": _N,
-        "baseline_rows": min(_N, _BASELINE_ROWS),
-        "cpu_count": multiprocessing.cpu_count(),
-        "journal_mode": "wal",
-        **{key: _round_rates(row) for key, row in results.items()},
-    }
-    artifact_path = os.environ.get("FLEET_SCALE_JSON")
-    if artifact_path:
-        with open(artifact_path, "w") as handle:
-            handle.write(json.dumps(artifact, indent=2, sort_keys=True)
-                         + "\n")
 
     lines = [f"fleet scale @ {_N} tasks (per-row baselines sampled at "
              f"{min(_N, _BASELINE_ROWS)} rows):"]
@@ -321,15 +274,12 @@ def test_fleet_scale_artifact(tmp_path):
     drain = results["drain"]
     lines.append(f"  drain    {drain['tasks_per_s']:>10.0f} tasks/s "
                  f"through {drain['workers']} workers "
-                 f"(lease limit {drain['lease_limit']})")
-    if artifact_path:
-        lines.append(f"artifact written to {artifact_path}")
+                 f"(lease limit {_LEASE_LIMIT})")
     emit("\n".join(lines))
 
-    # Conservative floors (measured headroom is far larger, see the
-    # committed BENCH_fleet.json): batching must beat commit-per-call
-    # by an order of magnitude, the ATTACH merge must clearly beat the
-    # row loop even on a loaded CI box.
+    # Conservative floors: batching must beat commit-per-call by an
+    # order of magnitude, the ATTACH merge must clearly beat the row
+    # loop even on a loaded CI box.
     assert results["enqueue"]["speedup"] >= 10.0
     assert results["put"]["speedup"] >= 10.0
     assert results["merge"]["speedup"] >= 5.0

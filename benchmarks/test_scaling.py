@@ -14,11 +14,8 @@ from repro.experiments.scaling import render, scaling_study
 BASE = ExperimentConfig(warmup_s=12.5, measure_s=15.0)
 
 
-def test_core_count_scaling(benchmark):
-    rows = benchmark.pedantic(
-        scaling_study,
-        kwargs={"core_counts": (2, 3, 4, 5), "base": BASE},
-        rounds=1, iterations=1)
+def test_core_count_scaling():
+    rows = scaling_study(core_counts=(2, 3, 4, 5), base=BASE)
     emit(render(rows))
 
     for row in rows:

@@ -14,12 +14,9 @@ from conftest import emit
 from repro.experiments.narrative import narrative_sec52
 
 
-def test_sec52_narrative(benchmark, paper_protocol):
-    report = benchmark.pedantic(
-        narrative_sec52,
-        kwargs={"base": paper_protocol,
-                "queue_capacities": (2, 3, 4, 6, 8, 11)},
-        rounds=1, iterations=1)
+def test_sec52_narrative(paper_protocol):
+    report = narrative_sec52(base=paper_protocol,
+                             queue_capacities=(2, 3, 4, 6, 8, 11))
     emit(report.to_text())
 
     assert 7.0 < report.initial_spread_c < 16.0

@@ -1,9 +1,9 @@
-"""Performance benchmarks of the simulator itself.
+"""The simulator's core loops, each run once and checked.
 
-Unlike the figure benchmarks (one-shot regenerations), these use
-pytest-benchmark's statistical timing to track the cost of the core
-loops: raw kernel event dispatch, the thermal step, and a full-system
-simulated second.
+Raw kernel event dispatch, the thermal step and a full-system
+simulated second.  Their cost is measured by ``perfbench/run.py``
+(the ``sweep-serial`` workload times the same loops inside whole
+runs, layer by layer with ``--trace 1``).
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.thermal.package import MOBILE_EMBEDDED
 from repro.thermal.rc_network import build_network
 
 
-def test_kernel_event_throughput(benchmark):
+def test_kernel_event_throughput():
     """Dispatch 10k self-rescheduling events."""
 
     def run():
@@ -33,10 +33,10 @@ def test_kernel_event_throughput(benchmark):
         sim.run()
         return count[0]
 
-    assert benchmark(run) == 10_000
+    assert run() == 10_000
 
 
-def test_thermal_step_cost(benchmark):
+def test_thermal_step_cost():
     """One exact 10 ms thermal step of the 3-tile network."""
     fp = build_floorplan(3)
     net = build_network(fp, list(fp.names), MOBILE_EMBEDDED)
@@ -45,11 +45,11 @@ def test_thermal_step_cost(benchmark):
     power = np.full(net.n_blocks, 0.1)
     integ.advance(temps, power, 0.01)   # warm the propagator cache
 
-    result = benchmark(integ.advance, temps, power, 0.01)
+    result = integ.advance(temps, power, 0.01)
     assert result.shape == temps.shape
 
 
-def test_full_system_simulated_second(benchmark):
+def test_full_system_simulated_second():
     """One simulated second of the full SDR + policy stack."""
 
     def run():
@@ -61,5 +61,5 @@ def test_full_system_simulated_second(benchmark):
     # The executed quantum slices measure the simulated work; kernel
     # event counts depend on the slice engine (coalescing collapses
     # most slice events into windows).
-    slices = benchmark(run)
+    slices = run()
     assert slices > 1000

@@ -8,19 +8,14 @@ O(N^3) matrix exponential per network; the sparse Chebyshev path never
 forms it, which is what turns large-grid campaigns from minutes into
 seconds.
 
-Asserts the PR's acceptance criterion on the largest grid (16 x 16,
+Prints the per-size, per-solver timing/error table and asserts the
+sparse solver's acceptance criterion on the largest grid (16 x 16,
 i.e. >= 8 x 8): ``sparse-exact`` matches ``dense-exact`` within 1e-8 C
 while running at least 5x faster end-to-end.
-
-With ``SOLVER_SCALING_JSON=<path>`` in the environment the per-size,
-per-solver timing/error table is also written as a JSON artifact (CI
-uploads it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -117,12 +112,6 @@ def test_grid_scaling_dense_vs_sparse_vs_reduced():
             f"{1000 * r['total_s']:>8.1f}ms{r['speedup_vs_dense']:>9.1f}x"
             f"{r['max_err_c']:>12.2e}")
     emit("\n".join(lines))
-
-    artifact = os.environ.get("SOLVER_SCALING_JSON")
-    if artifact:
-        with open(artifact, "w") as handle:
-            json.dump({"steps": STEPS, "dt_s": DT, "rows": rows},
-                      handle, indent=2, sort_keys=True)
 
     # Acceptance: on the largest grid (16x16 >= 8x8) the sparse path is
     # exact to 1e-8 and at least 5x faster end-to-end than dense.

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.tables import table1
 
 
-def test_table1_power(benchmark):
-    result = benchmark.pedantic(table1, rounds=1, iterations=1)
+def test_table1_power():
+    result = table1()
     emit(result.to_text())
     values = dict(result.rows)
     # Paper: 0.5 W / 0.27 W / 43 mW / 11 mW / 15 mW.

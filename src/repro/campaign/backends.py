@@ -271,8 +271,8 @@ class DistributedBackend(ExecutionBackend):
     ``executemany`` transaction per enqueue, a buffered per-lease row
     flush, one ``ATTACH``-based ``INSERT … SELECT`` per worker-store
     merge, WAL journals on both databases — so the fabric's own I/O
-    keeps up at 10^4–10^5 tasks (``BENCH_fleet.json``).  Unlike the
-    other backends this one is *resumable*:
+    keeps up at 10^4–10^5 tasks (perfbench's ``fleet-drain`` workload
+    measures it).  Unlike the other backends this one is *resumable*:
     kill the whole campaign at any point and re-running it completes
     only the journal's unfinished tasks, byte-identical to a serial
     pass (see :mod:`repro.campaign.fabric` and

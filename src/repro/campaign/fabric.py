@@ -20,8 +20,8 @@ resume without recomputation:
   pending rows, so concurrent workers never race for the same group
   and no lease sorts the backlog; and both databases run in WAL
   journal mode — safe here because every transition is guarded by the
-  lease protocol, not by rollback-journal exclusivity (throughput in
-  ``BENCH_fleet.json``, written by ``benchmarks/test_fleet_scale.py``).
+  lease protocol, not by rollback-journal exclusivity (perfbench's
+  ``fleet-drain`` workload measures the throughput).
 * :func:`run_worker` — the worker loop (``repro worker --queue DIR``):
   lease a batch of configs sharing a
   :func:`~repro.campaign.backends.lockstep_group_key`, run them

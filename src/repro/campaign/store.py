@@ -31,8 +31,8 @@ one ``ATTACH DATABASE`` + ``INSERT OR IGNORE … SELECT`` statement
 stores run in WAL journal mode, so a merge can read a worker store
 that is still being written.  Every batched path is proven equal to
 its per-row twin via :meth:`canonical_bytes` (see
-``tests/test_fleet_io.py``), and ``benchmarks/test_fleet_scale.py``
-records the throughput of both in ``BENCH_fleet.json``.
+``tests/test_fleet_io.py``), and perfbench's ``fleet-drain`` workload
+measures the batched paths' throughput.
 
 The schema is derived from the flat record, so adding a metric to
 :class:`~repro.metrics.report.RunReport` extends the store
@@ -347,8 +347,9 @@ class ResultStore:
         itself is a no-op.  Returns the number of rows imported.
 
         The import is one ``ATTACH DATABASE`` + ``INSERT OR IGNORE …
-        SELECT`` statement, the streaming set-at-a-time path (>10x the
-        row loop at 10⁴ rows, see ``BENCH_fleet.json``).  It falls
+        SELECT`` statement, the streaming set-at-a-time path
+        (``benchmarks/test_fleet_scale.py`` holds it to a floor over
+        the row loop at 10⁴ rows).  It falls
         back to a per-row loop when the source is in-memory, is this
         very store, or carries a different column set (a store
         written by another repo version); both produce the same

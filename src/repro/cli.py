@@ -103,44 +103,21 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.tables import table1, table2
 from repro.metrics.report import RunReport
 from repro.platform.registry import platform_registry
+from repro.policies.registry import policy_registry
+from repro.thermal.registry import package_registry
 from repro.thermal.solvers import DEFAULT_SOLVER, solver_registry
 
+#: Figure command -> (regenerator, help).
 _FIGURES = {
-    "fig2": figure2,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9,
-    "fig10": figure10,
-    "fig11": figure11,
+    "fig2": (figure2, "migration cost vs task size (Figure 2)"),
+    "fig7": (figure7, "temperature std dev, mobile package (Figure 7)"),
+    "fig8": (figure8, "deadline misses, mobile package (Figure 8)"),
+    "fig9": (figure9, "temperature std dev, high-performance package "
+                      "(Figure 9)"),
+    "fig10": (figure10, "deadline misses, high-performance package "
+                        "(Figure 10)"),
+    "fig11": (figure11, "migrations/s, both packages (Figure 11)"),
 }
-
-_EXPERIMENTS = (
-    "table1: component power models (Table 1)",
-    "table2: SDR application mapping (Table 2)",
-    "fig1: the motivating two-core example (Figure 1)",
-    "fig2: migration cost vs task size",
-    "fig7: temperature std dev, mobile package",
-    "fig8: deadline misses, mobile package",
-    "fig9: temperature std dev, high-performance package",
-    "fig10: deadline misses, high-performance package",
-    "fig11: migrations/s, both packages",
-    "narrative: Sec. 5.2 prose claims",
-    "run: one custom run (see --help; --workload picks any registered "
-    "workload or family instance like multi-sdr:2)",
-    "campaign: run a named campaign through the parallel engine",
-    "sweep: ad-hoc cartesian sweep (policies x thresholds x packages)",
-    "results: query/export a campaign result store (list, show, diff, "
-    "export, import)",
-    "worker: lease and run configs from a campaign-fabric queue",
-    "queue: inspect/manage a campaign-fabric queue (status, retry, "
-    "drain)",
-    "baseline: golden-baseline regression gate (record, check, "
-    "promote)",
-    "ablation: design-choice studies (candidate-filter, top-k, strategy, "
-    "queue-capacity, sensor-period, stopgo-variant, platform)",
-    "scaling: core-count scaling study (extension)",
-    "thermal-map: ASCII die temperature map via the grid model",
-)
 
 
 def _base_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -219,13 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "for streaming MPSoCs)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
-    sub.add_parser("table1", help="regenerate Table 1")
-    sub.add_parser("table2", help="regenerate Table 2")
-    sub.add_parser("fig1", help="reproduce the Figure 1 two-core example")
+    sub.add_parser("list",
+                   help="list the commands and registered campaigns")
+    sub.add_parser("table1", help="component power models (Table 1)")
+    sub.add_parser("table2", help="SDR application mapping (Table 2)")
+    sub.add_parser("fig1",
+                   help="the motivating two-core example (Figure 1)")
 
-    for name in _FIGURES:
-        p = sub.add_parser(name, help=f"regenerate {name}")
+    for name, (_, help_text) in _FIGURES.items():
+        p = sub.add_parser(name, help=help_text)
         if name != "fig2":
             _add_phase_options(p)
             _add_engine_options(p)
@@ -233,12 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("narrative", help="measure the Sec. 5.2 claims")
     p.add_argument("--threshold", type=_threshold, default=3.0)
 
-    p = sub.add_parser("run", help="run one configuration")
+    p = sub.add_parser("run", help="run one configuration (--workload "
+                                   "picks any registered workload or "
+                                   "family instance like multi-sdr:2)")
     p.add_argument("--policy", default="migra",
-                   choices=("migra", "stopgo", "energy", "load"))
+                   choices=policy_registry.names())
     p.add_argument("--threshold", type=_threshold, default=3.0)
     p.add_argument("--package", default="mobile",
-                   choices=("mobile", "highperf"))
+                   choices=package_registry.names())
     p.add_argument("--platform", default="conf1",
                    choices=platform_registry.names())
     p.add_argument("--workload", default="sdr", metavar="NAME",
@@ -271,15 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(p)
     p.add_argument("--json", action="store_true",
                    help="emit the aggregated manifest as JSON")
-    p.add_argument("--profile", nargs="?", metavar="PATH", default=None,
-                   const="campaign_profile.json",
-                   help="profile the run under cProfile: print the "
-                        "hottest functions by cumulative time and write "
-                        "a JSON artifact (default campaign_profile.json; "
-                        "only in-process --workers 1 shows internals)")
 
     p = sub.add_parser("sweep",
-                       help="ad-hoc cartesian sweep through the "
+                       help="ad-hoc cartesian sweep (policies x "
+                            "thresholds x packages) through the "
                             "campaign engine")
     p.add_argument("--policies", nargs="+", default=["migra"],
                    metavar="POLICY")
@@ -297,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(p)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("ablation", help="run an ablation study")
+    p = sub.add_parser("ablation", help="run a design-choice ablation "
+                                        "study")
     p.add_argument("name", choices=sorted(ablation_mod.ALL_ABLATIONS))
     _add_engine_options(p)
 
@@ -308,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(p)
 
     p = sub.add_parser("results",
-                       help="query a campaign result store")
+                       help="query/export a campaign result store")
     results_sub = p.add_subparsers(dest="results_command", required=True)
     for sub_name, sub_help in (
             ("list", "list stored campaigns with run counts"),
@@ -422,20 +399,38 @@ def build_parser() -> argparse.ArgumentParser:
                                  "report to PATH")
 
     p = sub.add_parser("thermal-map",
-                       help="ASCII die temperature map (grid model)")
+                       help="ASCII die temperature map via the grid "
+                            "model")
     p.add_argument("--policy", default="energy",
-                   choices=("migra", "stopgo", "energy", "load"))
+                   choices=policy_registry.names())
     p.add_argument("--threshold", type=_threshold, default=3.0)
     p.add_argument("--package", default="mobile",
-                   choices=("mobile", "highperf"))
+                   choices=package_registry.names())
     p.add_argument("--cell", type=float, default=0.2,
                    help="cell size in mm")
     return parser
 
 
+def _command_lines(parser: argparse.ArgumentParser) -> List[str]:
+    """``repro list``'s lines, read off the parser: each command with
+    its nested subcommands or positional choices, then its help."""
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    lines = []
+    for entry in commands._choices_actions:
+        command = commands.choices[entry.dest]
+        names = [name for action in command._actions
+                 if not action.option_strings and action.choices
+                 for name in action.choices]
+        choices = f" {{{','.join(names)}}}" if names else ""
+        lines.append(f"{entry.dest}{choices}: {entry.help}")
+    return lines
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        parser = build_parser()
+        return _dispatch(parser.parse_args(argv), parser)
     except BrokenPipeError:
         # Output piped into e.g. `head`: close quietly like cat does.
         try:
@@ -445,11 +440,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace,
+              parser: argparse.ArgumentParser) -> int:
 
     if args.command == "list":
-        print("Available experiments:")
-        for line in _EXPERIMENTS:
+        print("Commands:")
+        for line in _command_lines(parser):
             print(f"  {line}")
         print("Registered campaigns:")
         for name in campaign_registry.names():
@@ -470,7 +466,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(figure2().to_text())
         else:
             base = _base_config(args)
-            print(_FIGURES[args.command](
+            figure, _ = _FIGURES[args.command]
+            print(figure(
                 THRESHOLD_SWEEP_C, base, workers=args.workers,
                 cache_dir=args.cache_dir,
                 backend=args.backend).to_text())
@@ -529,26 +526,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         runner = CampaignRunner(workers=args.workers,
                                 cache_dir=args.cache_dir,
                                 backend=args.backend)
-        if args.profile:
-            from repro.campaign.profiling import profile_call
-            result, profile = profile_call(
-                lambda: runner.run(configs, name=args.name))
-            profile.write_json(args.profile)
-            print(result.to_json() if args.json else result.to_text())
-            print()
-            # Event-path counters: how much kernel work the campaign
-            # did, and how much of it slice coalescing absorbed.
-            events = sum(r.events_executed for r in result.reports)
-            slices = sum(r.slices_run for r in result.reports)
-            coalesced = sum(r.slices_coalesced for r in result.reports)
-            share = 100.0 * coalesced / slices if slices else 0.0
-            print(f"event path: {events} kernel events, {slices} "
-                  f"scheduler slices, {coalesced} coalesced "
-                  f"({share:.0f}%)")
-            print()
-            print(profile.to_text())
-            print(f"profile written to {args.profile}")
-            return 0
         result = runner.run(configs, name=args.name)
         print(result.to_json() if args.json else result.to_text())
         return 0
@@ -577,12 +554,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "scaling":
         from repro.experiments import scaling
-        rows = scaling.scaling_study(core_counts=tuple(args.cores),
-                                     threshold_c=args.threshold,
-                                     base=_base_config(args),
-                                     workers=args.workers,
-                                     cache_dir=args.cache_dir,
-                                     backend=args.backend)
+        try:
+            rows = scaling.scaling_study(core_counts=tuple(args.cores),
+                                         threshold_c=args.threshold,
+                                         base=_base_config(args),
+                                         workers=args.workers,
+                                         cache_dir=args.cache_dir,
+                                         backend=args.backend)
+        except ValueError as error:     # --cores 0, --cores 1
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(scaling.render(rows))
         return 0
     if args.command == "results":
@@ -596,7 +577,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = ExperimentConfig(policy=args.policy,
                                threshold_c=args.threshold,
                                package=args.package)
-        result = thermal_map(cfg, cell_mm=args.cell)
+        try:
+            result = thermal_map(cfg, cell_mm=args.cell)
+        except ValueError as error:     # --cell 0, -1, nan, inf
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(result.text)
         print(f"peak {result.peak_c:.1f} C, spread {result.spread_c:.1f} C, "
               f"hottest block {result.hottest_block}")

@@ -35,10 +35,6 @@ PACKAGES = package_registry
 #: Platform configuration name -> preset (live registry view).
 PLATFORMS = platform_registry
 
-#: The paper's built-in policies (the full live set is
-#: ``repro.policies.registry.policy_registry``).
-POLICY_NAMES = ("migra", "stopgo", "energy", "load")
-
 #: The threshold sweep of Figs. 7-11 (distance from the mean, Celsius).
 THRESHOLD_SWEEP_C = (1.0, 2.0, 3.0, 4.0)
 

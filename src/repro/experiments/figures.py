@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign import shared_runner, sweep
+from repro.campaign import SWEEP_POLICIES, shared_runner, sweep
 from repro.experiments.config import (
     THRESHOLD_SWEEP_C,
     ExperimentConfig,
@@ -26,9 +26,6 @@ from repro.metrics.report import RunReport
 from repro.mpos.migration import TaskRecreation, TaskReplication
 from repro.platform.bus import SharedBus
 from repro.sim.kernel import Simulator
-
-#: The three policies the paper compares in Figs. 7-10.
-COMPARED_POLICIES = ("energy", "stopgo", "migra")
 
 #: Display names used in figure output.
 POLICY_LABELS = {
@@ -73,7 +70,7 @@ class FigureSeries:
 # ----------------------------------------------------------------------
 def run_matrix(package: str,
                thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
-               policies: Sequence[str] = COMPARED_POLICIES,
+               policies: Sequence[str] = SWEEP_POLICIES,
                base: Optional[ExperimentConfig] = None,
                workers: int = 1,
                cache_dir: Optional[str] = None,
@@ -155,7 +152,7 @@ def figure7(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
     """Temperature standard deviation, mobile embedded package."""
     series = _policy_series(
         "mobile", lambda r: r.pooled_std_c, thresholds,
-        COMPARED_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, workers, cache_dir, backend)
     return FigureSeries(
         figure="Figure 7",
         title="Temp. standard deviation for embedded SoCs",
@@ -171,7 +168,7 @@ def figure8(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
     """Deadline misses, mobile embedded package."""
     series = _policy_series(
         "mobile", lambda r: float(r.deadline_misses), thresholds,
-        COMPARED_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, workers, cache_dir, backend)
     return FigureSeries(
         figure="Figure 8",
         title="Deadline misses for the embedded mobile system",
@@ -187,7 +184,7 @@ def figure9(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
     """Temperature standard deviation, high-performance package."""
     series = _policy_series(
         "highperf", lambda r: r.pooled_std_c, thresholds,
-        COMPARED_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, workers, cache_dir, backend)
     return FigureSeries(
         figure="Figure 9",
         title="Standard deviation for the high performance SoCs",
@@ -203,7 +200,7 @@ def figure10(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
     """Deadline misses, high-performance package."""
     series = _policy_series(
         "highperf", lambda r: float(r.deadline_misses), thresholds,
-        COMPARED_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, workers, cache_dir, backend)
     return FigureSeries(
         figure="Figure 10",
         title="Deadline misses for high-performance systems",

@@ -43,6 +43,11 @@ def thermal_map(config: ExperimentConfig | None = None,
     """
     config = config or ExperimentConfig(policy="energy")
     sut = build_system(config)
+    # Built before the run, so a bad cell size fails without simulating.
+    grid = GridThermalModel(
+        sut.chip.floorplan, [b.name for b in sut.chip.blocks],
+        config.package_params,
+        ambient_c=config.platform_config.ambient_c, cell_mm=cell_mm)
     sut.sim.run_until(config.warmup_s)
     sut.policy.enable(sut.sim.now)
     sut.sim.run_until(config.t_end - average_window_s)
@@ -52,10 +57,6 @@ def thermal_map(config: ExperimentConfig | None = None,
     sut.sim.run_until(config.t_end)
     power = (sut.chip.cumulative_energy_j() - start) / average_window_s
 
-    grid = GridThermalModel(
-        sut.chip.floorplan, [b.name for b in sut.chip.blocks],
-        config.package_params,
-        ambient_c=config.platform_config.ambient_c, cell_mm=cell_mm)
     temp_map = grid.temperature_map(power)
     hottest = grid.hottest_cell(power)
     header = (f"Steady-state die map — policy={sut.policy.name}, "

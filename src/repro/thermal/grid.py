@@ -17,6 +17,7 @@ analysis and the ``repro thermal-map`` visualization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +59,9 @@ class GridThermalModel:
     def __init__(self, floorplan: Floorplan, block_names: Sequence[str],
                  params: ThermalPackageParams, ambient_c: float = 35.0,
                  cell_mm: float = 0.2):
-        if cell_mm <= 0:
-            raise ValueError("cell_mm must be positive")
+        if not 0 < cell_mm < math.inf:
+            raise ValueError(f"cell_mm must be a finite number > 0, "
+                             f"got {cell_mm!r}")
         self.floorplan = floorplan
         self.block_names = list(block_names)
         self.params = params

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,26 +171,38 @@ class TestCampaignCommands:
                      "--measure", "2", "--backend", "serial"]) == 0
         assert "serial backend" in capsys.readouterr().out
 
-    def test_campaign_vectorized_backend_with_profile(self, capsys,
-                                                      tmp_path,
-                                                      monkeypatch):
-        """--backend vectorized --profile runs the lockstep path under
-        cProfile, prints the hot-function table and writes the JSON
-        artifact."""
-        import json
+    def test_campaign_vectorized_backend_drives_lockstep(self, capsys,
+                                                         monkeypatch):
+        """--backend vectorized runs its configs through the lockstep
+        driver, and its manifest equals serial's byte for byte."""
+        from repro.campaign import lockstep
+        driver = lockstep.run_lockstep_group
+        driven = []
+
+        def counted(configs):
+            driven.extend(configs)
+            return driver(configs)
+
+        monkeypatch.setattr(lockstep, "run_lockstep_group", counted)
+        argv = ["campaign", "smoke", "--warmup", "1", "--measure", "1",
+                "--json", "--backend"]
+        assert main(argv + ["vectorized"]) == 0
+        vectorized = capsys.readouterr().out
+        assert len(driven) == 2
+        assert main(argv + ["serial"]) == 0
+        assert capsys.readouterr().out == vectorized
+        assert len(driven) == 2         # serial never enters the driver
+
+    def test_campaign_profile_flag_is_gone(self, capsys, tmp_path,
+                                           monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["campaign", "smoke", "--warmup", "1",
-                     "--measure", "1", "--backend", "vectorized",
-                     "--profile", "prof.json"]) == 0
-        out = capsys.readouterr().out
-        assert "vectorized backend" in out
-        assert "by cumulative" in out
-        assert "profile written to prof.json" in out
-        digest = json.loads((tmp_path / "prof.json").read_text())
-        assert digest["total_calls"] > 0
-        assert digest["rows"]
-        functions = " ".join(r["function"] for r in digest["rows"])
-        assert "lockstep" in functions
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "smoke", "--profile", "x"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --profile x" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_solver_option_parses_everywhere_backend_does(self):
         parser = build_parser()
@@ -370,6 +384,24 @@ class TestResultsCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "campaign" in out and "threshold-sweep" in out
+
+    def test_list_names_what_the_parser_accepts(self, capsys):
+        # The hand-kept listing offered the deleted `results import`
+        # and missed two of the nine ablations.
+        assert main(["list"]) == 0
+        listed = dict(re.findall(r"^  (\S+) \{(\S+)\}:",
+                                 capsys.readouterr().out, re.M))
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)).choices
+        for command in ("results", "queue", "baseline", "ablation"):
+            accepted = [name for action in commands[command]._actions
+                        if not action.option_strings and action.choices
+                        for name in action.choices]
+            assert listed[command].split(",") == accepted
+        assert "import" not in listed["results"].split(",")
+        assert {"sensor-noise", "load-jitter"} \
+            <= set(listed["ablation"].split(","))
 
 
 class TestBaselineCommands:
@@ -604,6 +636,44 @@ class TestBadWorkers:
             main(["sweep", "--workers", "two"])
         assert exit_info.value.code == 2
         assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
+class TestRegisteredChoices:
+    def test_run_accepts_every_registered_policy(self, capsys):
+        # `stopgo-original` is registered by repro.experiments.ablation;
+        # `run --policy` used to offer a hard-coded four.
+        assert main(["run", "--policy", "stopgo-original",
+                     "--warmup", "0.5", "--measure", "0.5"]) == 0
+        assert "policy=stop-go" in capsys.readouterr().out
+
+    def test_policy_and_package_choices_follow_the_registries(self):
+        from repro.policies.registry import policy_registry
+        from repro.thermal.registry import package_registry
+        parser = build_parser()
+        for command in ("run", "thermal-map"):
+            for policy in policy_registry.names():
+                assert parser.parse_args(
+                    [command, "--policy", policy]).policy == policy
+            for package in package_registry.names():
+                assert parser.parse_args(
+                    [command, "--package", package]).package == package
+
+
+class TestBadCoresAndCells:
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--cores", "0"],
+        ["scaling", "--cores", "1"],
+        ["thermal-map", "--cell", "0"],
+        ["thermal-map", "--cell", "-1"],
+        ["thermal-map", "--cell", "nan"],
+        ["thermal-map", "--cell", "inf"],
+    ])
+    def test_exits_2_with_a_clean_error(self, argv, capsys):
+        # Each used to end in a ValueError traceback; `--cell nan` got
+        # past the grid model's `cell_mm <= 0` check.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestBadThresholds:

@@ -60,8 +60,13 @@ class TestConstruction:
         assert np.all(cell_p >= 0)
 
     def test_invalid_cell_size_rejected(self, floorplan, names):
-        with pytest.raises(ValueError):
-            GridThermalModel(floorplan, names, MOBILE_EMBEDDED, cell_mm=0.0)
+        # NaN used to pass a `<= 0` check and fail later, in
+        # int(round(...)); infinity failed on an off-die cell centre.
+        for cell_mm in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError,
+                               match="cell_mm must be a finite number > 0"):
+                GridThermalModel(floorplan, names, MOBILE_EMBEDDED,
+                                 cell_mm=cell_mm)
 
     def test_bad_power_vector_rejected(self, grid):
         with pytest.raises(ValueError):
