@@ -15,8 +15,8 @@ from repro.experiments.config import ExperimentConfig
 BASE = ExperimentConfig(warmup_s=12.5, measure_s=15.0)
 
 
-def test_ablation_candidate_filter():
-    rows = ablation.ablation_candidate_filter(base=BASE)
+def test_ablation_candidate_filter(runner):
+    rows = ablation.ablation_candidate_filter(base=BASE, runner=runner)
     emit(ablation.render("Ablation: phase-1 candidate filter "
                          "(condition 2 on/off, high-perf, theta=2)", rows))
     full, nofilter = rows
@@ -24,8 +24,8 @@ def test_ablation_candidate_filter():
     # balance; it typically migrates more for equal or worse control.
     assert nofilter.pooled_std_c >= full.pooled_std_c - 0.15
 
-def test_ablation_top_k():
-    rows = ablation.ablation_top_k(base=BASE)
+def test_ablation_top_k(runner):
+    rows = ablation.ablation_top_k(base=BASE, runner=runner)
     emit(ablation.render("Ablation: phase-2 search width top_k", rows))
     by_k = {r.label: r for r in rows}
     # The paper's pruning claim: considering only the highest-load few
@@ -35,8 +35,8 @@ def test_ablation_top_k():
                - by_k["top_k=2"].pooled_std_c) < 0.5
 
 
-def test_ablation_strategy():
-    rows = ablation.ablation_strategy(base=BASE)
+def test_ablation_strategy(runner):
+    rows = ablation.ablation_strategy(base=BASE, runner=runner)
     emit(ablation.render("Ablation: replication vs recreation under the "
                          "full policy", rows))
     repl, recr = rows
@@ -45,8 +45,8 @@ def test_ablation_strategy():
     assert recr.deadline_misses <= repl.deadline_misses + 25
 
 
-def test_ablation_queue_capacity():
-    rows = ablation.ablation_queue_capacity(base=BASE)
+def test_ablation_queue_capacity(runner):
+    rows = ablation.ablation_queue_capacity(base=BASE, runner=runner)
     emit(ablation.render("Ablation: queue capacity vs Stop&Go misses",
                          rows))
     misses = [r.deadline_misses for r in rows]
@@ -54,8 +54,8 @@ def test_ablation_queue_capacity():
     assert misses[-1] <= misses[0]
 
 
-def test_ablation_sensor_period():
-    rows = ablation.ablation_sensor_period(base=BASE)
+def test_ablation_sensor_period(runner):
+    rows = ablation.ablation_sensor_period(base=BASE, runner=runner)
     emit(ablation.render("Ablation: sensor period (high-perf, theta=2)",
                          rows))
     by_label = {r.label: r for r in rows}
@@ -65,8 +65,8 @@ def test_ablation_sensor_period():
             >= by_label["sensor=10ms"].pooled_std_c - 0.1)
 
 
-def test_ablation_sensor_noise():
-    rows = ablation.ablation_sensor_noise(base=BASE)
+def test_ablation_sensor_noise(runner):
+    rows = ablation.ablation_sensor_noise(base=BASE, runner=runner)
     emit(ablation.render("Ablation: sensor noise (mobile, theta=2)", rows))
     clean, *_, noisiest = rows
     # Graceful degradation: balance within 0.5 C of the clean run even
@@ -76,8 +76,8 @@ def test_ablation_sensor_noise():
     assert noisiest.deadline_misses <= 3
 
 
-def test_ablation_load_jitter():
-    rows = ablation.ablation_load_jitter(base=BASE)
+def test_ablation_load_jitter(runner):
+    rows = ablation.ablation_load_jitter(base=BASE, runner=runner)
     emit(ablation.render("Ablation: per-frame load jitter "
                          "(mobile, theta=2)", rows))
     clean, *_, wildest = rows
@@ -87,8 +87,8 @@ def test_ablation_load_jitter():
     assert wildest.deadline_misses <= 3
 
 
-def test_ablation_stopgo_variant():
-    rows = ablation.ablation_stopgo_variant(base=BASE)
+def test_ablation_stopgo_variant(runner):
+    rows = ablation.ablation_stopgo_variant(base=BASE, runner=runner)
     emit(ablation.render("Ablation: Stop&Go modified (relative band) vs "
                          "original (panic + timeout)", rows))
     modified, original = rows
@@ -97,8 +97,8 @@ def test_ablation_stopgo_variant():
     assert original.deadline_misses > 50
 
 
-def test_ablation_platform():
-    rows = ablation.ablation_platform(base=BASE)
+def test_ablation_platform(runner):
+    rows = ablation.ablation_platform(base=BASE, runner=runner)
     emit(ablation.render("Ablation: Conf1 vs Conf2 power configuration",
                          rows))
     by_label = {r.label: r for r in rows}

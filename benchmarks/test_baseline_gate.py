@@ -52,12 +52,6 @@ def test_warm_check_simulates_nothing(warm_gate):
     assert result.n_cached == len(result.runs)
 
 
-def test_warm_check_throughput(warm_gate):
-    path, cache_dir = warm_gate
-    _, report = _check_once(path, cache_dir)
-    assert report.ok
-
-
 def test_warm_check_is_subsecond(warm_gate):
     """The acceptance bar for CI: a cached 24-config check (load +
     store reads + verdicts + Markdown render) stays well under the

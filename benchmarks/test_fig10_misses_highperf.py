@@ -12,8 +12,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure8, figure10
 
 
-def test_fig10_misses_highperf(paper_protocol):
-    fig = figure10(base=paper_protocol)
+def test_fig10_misses_highperf(paper_protocol, runner):
+    fig = figure10(base=paper_protocol, runner=runner)
     emit(fig.to_text())
 
     stopgo = fig.series[POLICY_LABELS["stopgo"]]
@@ -22,7 +22,8 @@ def test_fig10_misses_highperf(paper_protocol):
     assert all(s > 50 for s in stopgo)
 
     # Cross-package comparison (reuses the cached Fig. 8 runs).
-    mobile = figure8(base=paper_protocol).series[POLICY_LABELS["stopgo"]]
+    mobile = figure8(base=paper_protocol,
+                     runner=runner).series[POLICY_LABELS["stopgo"]]
     fewer = sum(1 for fast, slow in zip(stopgo, mobile) if fast < slow)
     assert fewer >= 3, (
         f"Stop&Go should miss less on the fast package at most "

@@ -14,8 +14,8 @@ from conftest import emit
 from repro.experiments.figures import figure11
 
 
-def test_fig11_migrations(paper_protocol):
-    fig = figure11(base=paper_protocol)
+def test_fig11_migrations(paper_protocol, runner):
+    fig = figure11(base=paper_protocol, runner=runner)
     emit(fig.to_text())
 
     mobile = fig.series["embedded mobile"]

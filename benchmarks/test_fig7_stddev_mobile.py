@@ -12,8 +12,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure7
 
 
-def test_fig7_stddev_mobile(paper_protocol):
-    fig = figure7(base=paper_protocol)
+def test_fig7_stddev_mobile(paper_protocol, runner):
+    fig = figure7(base=paper_protocol, runner=runner)
     emit(fig.to_text())
 
     energy = fig.series[POLICY_LABELS["energy"]]

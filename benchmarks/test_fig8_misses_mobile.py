@@ -11,8 +11,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure8
 
 
-def test_fig8_misses_mobile(paper_protocol):
-    fig = figure8(base=paper_protocol)
+def test_fig8_misses_mobile(paper_protocol, runner):
+    fig = figure8(base=paper_protocol, runner=runner)
     emit(fig.to_text())
 
     energy = fig.series[POLICY_LABELS["energy"]]

@@ -12,8 +12,8 @@ from conftest import emit
 from repro.experiments.figures import POLICY_LABELS, figure9
 
 
-def test_fig9_stddev_highperf(paper_protocol):
-    fig = figure9(base=paper_protocol)
+def test_fig9_stddev_highperf(paper_protocol, runner):
+    fig = figure9(base=paper_protocol, runner=runner)
     emit(fig.to_text())
 
     energy = fig.series[POLICY_LABELS["energy"]]

@@ -14,8 +14,9 @@ from repro.experiments.scaling import render, scaling_study
 BASE = ExperimentConfig(warmup_s=12.5, measure_s=15.0)
 
 
-def test_core_count_scaling():
-    rows = scaling_study(core_counts=(2, 3, 4, 5), base=BASE)
+def test_core_count_scaling(runner):
+    rows = scaling_study(core_counts=(2, 3, 4, 5), base=BASE,
+                         runner=runner)
     emit(render(rows))
 
     for row in rows:

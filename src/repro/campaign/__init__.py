@@ -43,10 +43,10 @@ service, split into separable layers:
 hash, serve cached rows from the store, execute the rest through the
 chosen backend, persist fresh rows back.  :func:`sweep` / named
 campaigns describe the configurations; ``repro campaign``, ``repro
-sweep`` and ``repro results`` are the CLI entry points, and the
-figure/ablation/scaling layers read through :func:`shared_runner` so
-``--cache-dir`` regenerates analyses from stored rows, simulating only
-what is missing.
+sweep`` and ``repro results`` are the CLI entry points.  The
+figure/ablation/scaling layers run on the runner they are given
+(``runner=``), so a runner with a ``cache_dir`` regenerates analyses
+from stored rows, simulating only what is missing.
 
 Adding a scenario end-to-end::
 
@@ -89,8 +89,6 @@ from repro.campaign.engine import (
     CampaignResult,
     CampaignRun,
     CampaignRunner,
-    clear_shared_runners,
-    shared_runner,
 )
 from repro.campaign.spec import (
     SWEEP_POLICIES,
@@ -100,7 +98,6 @@ from repro.campaign.spec import (
     sweep,
 )
 from repro.campaign.store import (
-    BufferedWriter,
     DiffRow,
     ResultStore,
     StoreDiff,
@@ -109,7 +106,6 @@ from repro.campaign.store import (
 )
 
 __all__ = [
-    "BufferedWriter",
     "CampaignQueue",
     "CampaignResult",
     "CampaignRun",
@@ -134,12 +130,10 @@ __all__ = [
     "SystemUnderTest",
     "backend_registry",
     "campaign_registry",
-    "clear_shared_runners",
     "expand_campaign",
     "make_backend",
     "register_backend",
     "register_campaign",
     "run_worker",
-    "shared_runner",
     "sweep",
 ]

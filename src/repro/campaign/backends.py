@@ -268,8 +268,8 @@ class DistributedBackend(ExecutionBackend):
     ``cache_dir`` ends), local workers lease lockstep-group batches and
     stream rows into per-worker stores, and the coordinator merges them
     back idempotently.  Every hot path is set-at-a-time SQL — one
-    ``executemany`` transaction per enqueue, a buffered per-lease row
-    flush, one ``ATTACH``-based ``INSERT … SELECT`` per worker-store
+    ``executemany`` transaction per enqueue, one ``put_many`` per
+    lease, one ``ATTACH``-based ``INSERT … SELECT`` per worker-store
     merge, WAL journals on both databases — so the fabric's own I/O
     keeps up at 10^4–10^5 tasks (perfbench's ``fleet-drain`` workload
     measures it).  Unlike the other backends this one is *resumable*:

@@ -24,6 +24,9 @@ per-run :class:`~repro.metrics.report.RunReport` into a
 
 Runs are deterministic, so every backend produces byte-identical
 reports — ``backend`` and ``workers`` are purely throughput knobs.
+The figure, ablation and scaling entry points take a runner
+(``runner=``), so one runner passed to several of them shares its
+caches across them.
 """
 
 from __future__ import annotations
@@ -117,19 +120,13 @@ class CampaignResult:
         return json.dumps(self.to_manifest(), indent=indent, sort_keys=True)
 
 
-def _checked_workers(workers: int) -> int:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return int(workers)
-
-
 class CampaignRunner:
     """Runs experiment configurations through a backend, with caching.
 
     Parameters
     ----------
     workers:
-        Default process count for :meth:`run` (1 = in-process serial).
+        Process count for :meth:`run` (1 = in-process serial).
     cache_dir:
         Optional directory for the persistent
         :class:`~repro.campaign.store.ResultStore`
@@ -148,7 +145,9 @@ class CampaignRunner:
                  cache_dir: Optional[str] = None,
                  backend: str = "serial",
                  store: Optional[ResultStore] = None):
-        self.workers = _checked_workers(workers)
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = int(workers)
         self.backend = make_backend(backend)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._owns_store = store is None and self.cache_dir is not None
@@ -166,20 +165,23 @@ class CampaignRunner:
             self.store.close()
             self.store = None
 
+    def __enter__(self) -> "CampaignRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, configs: Iterable[ExperimentConfig],
-            name: str = "campaign",
-            workers: Optional[int] = None) -> CampaignResult:
+            name: str = "campaign") -> CampaignResult:
         """Run every configuration (deduplicated by config hash).
 
         Configs left to run that share a run key simulate once; every
         config still gets its own report and store row.
         """
         t_start = time.perf_counter()
-        n_workers = (self.workers if workers is None
-                     else _checked_workers(workers))
         configs = list(configs)
 
         unique: Dict[str, ExperimentConfig] = {}
@@ -189,29 +191,26 @@ class CampaignRunner:
         reports: Dict[str, RunReport] = {}
         hits = set()
         missing: List[Tuple[str, ExperimentConfig]] = []
-        # One membership probe for the whole sweep instead of a
-        # has(key, name) query per cache hit.
-        registered = (self.store.campaign_hashes(name)
-                      if self.store is not None else set())
-        hit_writer = (self.store.buffered(campaign=name)
-                      if self.store is not None else None)
         for key, config in unique.items():
             report = self._cached(key)
             if report is not None:
                 reports[key] = report
                 hits.add(key)
-                # Record the hit under *this* campaign's name too:
-                # rows are keyed (config_hash, campaign), and a
-                # campaign served entirely from cache must still be
-                # queryable as itself in the store.  Existing rows are
-                # left alone — re-running a fully cached campaign must
-                # not rewrite (and re-fsync) every row.
-                if hit_writer is not None and key not in registered:
-                    hit_writer.put(key, config.to_dict(), report)
             else:
                 missing.append((key, config))
-        if hit_writer is not None:
-            hit_writer.flush()
+        if self.store is not None:
+            # Record the hits under *this* campaign's name too: rows
+            # are keyed (config_hash, campaign), and a campaign served
+            # entirely from cache must still be queryable as itself in
+            # the store.  Existing rows are left alone — re-running a
+            # fully cached campaign must not rewrite (and re-fsync)
+            # every row.  One membership probe serves the whole sweep.
+            registered = self.store.campaign_hashes(name)
+            self.store.put_many(
+                [(key, config.to_dict(), reports[key])
+                 for key, config in unique.items()
+                 if key in hits and key not in registered],
+                campaign=name)
 
         # Only each run key's leader goes to the backend; ``slots``
         # maps every missing config to its leader's place in ``to_run``.
@@ -234,13 +233,9 @@ class CampaignRunner:
         if execute_in_context is not None:
             context = ExecutionContext(cache_dir=self.cache_dir,
                                        campaign=name)
-            fresh = execute_in_context(to_run, n_workers, context)
+            fresh = execute_in_context(to_run, self.workers, context)
         else:
-            fresh = self.backend.execute(to_run, n_workers)
-        # Collect path: buffer the fresh rows and journal them in one
-        # put_many transaction per campaign, not one commit per run.
-        collect_writer = (self.store.buffered(campaign=name)
-                          if self.store is not None else None)
+            fresh = self.backend.execute(to_run, self.workers)
         for (key, config), slot in zip(missing, slots):
             report = fresh[slot]
             if to_run[slot] is not config:
@@ -251,16 +246,17 @@ class CampaignRunner:
                                  extra=dict(report.extra))
             reports[key] = report
             self._memory[key] = report
-            if collect_writer is not None:
-                collect_writer.put(key, config.to_dict(), report)
-        if collect_writer is not None:
-            collect_writer.flush()
+        if self.store is not None:
+            # The fresh rows land in one transaction, not one per run.
+            self.store.put_many(
+                [(key, config.to_dict(), reports[key])
+                 for key, config in missing], campaign=name)
 
         runs = [CampaignRun(config=config,
                             report=reports[config.config_hash()],
                             cached=config.config_hash() in hits)
                 for config in configs]
-        return CampaignResult(name=name, runs=runs, workers=n_workers,
+        return CampaignResult(name=name, runs=runs, workers=self.workers,
                               elapsed_s=time.perf_counter() - t_start,
                               backend=self.backend.name)
 
@@ -275,32 +271,3 @@ class CampaignRunner:
                 self._memory[key] = report
         return report
 
-
-# ----------------------------------------------------------------------
-# shared runners (the figure/ablation/scaling read-through path)
-# ----------------------------------------------------------------------
-_SHARED_RUNNERS: Dict[Tuple[Optional[str], str], CampaignRunner] = {}
-
-
-def shared_runner(cache_dir: Optional[str] = None,
-                  backend: str = "serial") -> CampaignRunner:
-    """A process-wide runner per (cache_dir, backend) pair.
-
-    The analysis layers (figures, ablations, scaling) all read through
-    these, so e.g. Fig. 7 and Fig. 8 — same sweep, different metric —
-    share one in-memory cache, and a ``--cache-dir`` makes every layer
-    serve prior sessions' rows from the same persistent store.
-    """
-    key = (str(cache_dir) if cache_dir else None, backend)
-    runner = _SHARED_RUNNERS.get(key)
-    if runner is None:
-        runner = CampaignRunner(cache_dir=cache_dir, backend=backend)
-        _SHARED_RUNNERS[key] = runner
-    return runner
-
-
-def clear_shared_runners() -> None:
-    """Drop the shared runners, closing their store connections."""
-    for runner in _SHARED_RUNNERS.values():
-        runner.close()
-    _SHARED_RUNNERS.clear()

@@ -27,8 +27,9 @@ resume without recomputation:
   :func:`~repro.campaign.backends.lockstep_group_key`, run them
   through an ordinary in-process
   :class:`~repro.campaign.backends.ExecutionBackend` (``serial`` or
-  ``vectorized``), flush the batch's rows to the worker's own result
-  store (``results-<worker>.sqlite``) through one buffered writer,
+  ``vectorized``), write the batch's rows to the worker's own result
+  store (``results-<worker>.sqlite``) with one
+  :meth:`~repro.campaign.store.ResultStore.put_many` per campaign,
   then mark the batch done with one
   :meth:`CampaignQueue.complete_many`.  Rows are written *before* the
   batch is marked done, so a crash in between re-runs the batch and
@@ -52,7 +53,7 @@ Fault-injection hooks (used by tests and the ``distributed-smoke`` CI
 job):
 
 * ``REPRO_FABRIC_KILL_AFTER=<n>`` — a worker SIGKILLs itself right
-  after the batch flush that brings its stored rows to *n* or more,
+  after the batch write that brings its stored rows to *n* or more,
   *before* ``complete_many`` marks the batch done (the nastiest crash
   point: the rows exist, the leases do not know).  The fault fires
   exactly once per queue, recorded in the journal's ``faults`` table,
@@ -665,9 +666,10 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
     Each batch shares a lockstep group key, so ``backend`` may be any
     in-process backend — ``serial`` or ``vectorized`` (one
     ``advance_batch`` per sensor epoch across the whole lease).  The
-    batch's rows flush to this worker's own store through one
-    :class:`~repro.campaign.store.BufferedWriter`, then one
-    :meth:`CampaignQueue.complete_many` marks the batch done.
+    batch's rows land in this worker's own store with one
+    :meth:`~repro.campaign.store.ResultStore.put_many` per campaign
+    in the lease, then one :meth:`CampaignQueue.complete_many` marks
+    the batch done.
     Rows land strictly before done, so a crash between the two
     commits re-runs the batch and the coordinator's idempotent merge
     absorbs the duplicate rows.  Returns the number of tasks
@@ -712,10 +714,12 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
             runs = _run_isolated(engine, parsed, queue, worker_id)
             ran = [task for task, _, _ in runs]
             hook("computed", ran)
-            with store.buffered() as writer:
-                for task, config, report in runs:
-                    writer.put(task.config_hash, config.to_dict(),
-                               report, campaign=task.campaign)
+            by_campaign: Dict[str, List[Tuple[str, Dict, RunReport]]] = {}
+            for task, config, report in runs:
+                by_campaign.setdefault(task.campaign, []).append(
+                    (task.config_hash, config.to_dict(), report))
+            for campaign, rows in by_campaign.items():
+                store.put_many(rows, campaign=campaign)
             stored += len(runs)
             hook("stored", ran)
             if kill_after and stored >= kill_after and \

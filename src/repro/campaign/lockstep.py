@@ -22,7 +22,8 @@ Byte-identical by construction:
 * ``advance_batch`` guarantees bitwise column equality with ``advance``.
 
 Divergence is graceful: a simulator whose tick vanishes (sensors
-stopped) or whose network digest disagrees simply falls back to normal
+stopped) or whose network digest disagrees, and every simulator of a
+solver with no ``advance_batch``, simply falls back to normal
 per-event stepping; the batch shrinks, correctness is untouched.
 """
 
@@ -95,15 +96,19 @@ def _run_lockstep(suts: Sequence[SystemUnderTest], t_stop: float) -> None:
     The backend's group key guarantees network compatibility; the
     digest check is a cheap belt-and-braces guard so a drifting config
     degrades to serial stepping instead of silently mixing networks in
-    one mat-mat.
+    one mat-mat.  A solver without ``advance_batch`` (the registry
+    accepts any object with ``advance`` and ``steady_state``) steps
+    every simulator serially.
     """
     if not suts:
         return
     first = suts[0].sensors
     digest = first.network.digest()
+    batches = hasattr(first.integrator, "advance_batch")
     batchable, serial = [], []
     for sut in suts:
-        compatible = (sut.sensors.network.digest() == digest
+        compatible = (batches
+                      and sut.sensors.network.digest() == digest
                       and sut.sensors.solver_name == first.solver_name
                       and sut.sensors.period_s == first.period_s)
         (batchable if compatible else serial).append(sut)

@@ -9,9 +9,9 @@ re-running or re-aggregating anything:
 * :class:`~repro.campaign.engine.CampaignRunner` caches through the
   store (``cache_dir`` puts ``results.sqlite`` there), making it the
   cross-session cache *and* the queryable result artifact;
-* the figure/ablation/scaling layers read through it, so
-  ``repro fig7 --cache-dir DIR`` only simulates configs with no stored
-  row;
+* the figure/ablation/scaling layers read through it when their
+  runner has one, so ``repro fig7 --cache-dir DIR`` only simulates
+  configs with no stored row;
 * ``repro results`` lists campaigns, shows/filters runs and exports
   CSV;
 * rows produced remotely (the campaign fabric's workers,
@@ -22,9 +22,8 @@ re-running or re-aggregating anything:
 
 The write paths are set-at-a-time: :meth:`ResultStore.put_many`
 journals any number of rows in one ``executemany`` transaction (with
-:meth:`ResultStore.put` kept as the one-row case),
-:meth:`ResultStore.buffered` wraps that in a :class:`BufferedWriter`
-for producers that stream rows one at a time, and
+:meth:`ResultStore.put` kept as the one-row case; the campaign engine
+and the fabric worker each write a batch's rows with one call), and
 :meth:`ResultStore.merge_from` imports a whole sibling store through
 one ``ATTACH DATABASE`` + ``INSERT OR IGNORE … SELECT`` statement
 (falling back to a per-row loop for cross-schema stores).  File-backed
@@ -208,12 +207,6 @@ class ResultStore:
             f"VALUES ({placeholders})", values)
         self._conn.commit()
         return len(values)
-
-    def buffered(self, campaign: str = "adhoc",
-                 flush_every: int = 512) -> "BufferedWriter":
-        """A :class:`BufferedWriter` accumulating rows for this store."""
-        return BufferedWriter(self, campaign=campaign,
-                              flush_every=flush_every)
 
     # ------------------------------------------------------------------
     # reads
@@ -459,60 +452,6 @@ class ResultStore:
             campaign_a=campaign_a, campaign_b=campaign_b, rows=rows,
             only_a=sorted(set(runs_a) - set(runs_b)),
             only_b=sorted(set(runs_b) - set(runs_a)))
-
-
-class BufferedWriter:
-    """Accumulates ``put`` calls and flushes them set-at-a-time.
-
-    Producers that receive rows one at a time (the campaign engine's
-    collect loop, a fabric worker draining a lease) write through this
-    instead of committing per row: rows buffer in memory, grouped by
-    campaign, and each :meth:`flush` is one
-    :meth:`ResultStore.put_many` transaction per campaign.  Used as a
-    context manager it flushes on exit; an exception mid-batch leaves
-    the store exactly at the last flush boundary — the same crash
-    surface a per-row writer has at its last commit.
-    """
-
-    def __init__(self, store: ResultStore, campaign: str = "adhoc",
-                 flush_every: int = 512):
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
-        self.store = store
-        self.campaign = campaign
-        self.flush_every = int(flush_every)
-        self._pending: Dict[str, List[Tuple[str, Dict, RunReport]]] = {}
-        self._buffered = 0
-
-    @property
-    def pending(self) -> int:
-        """Rows buffered but not yet written to the store."""
-        return self._buffered
-
-    def put(self, config_hash: str, config: Dict, report: RunReport,
-            campaign: Optional[str] = None) -> None:
-        """Buffer one row (flushes once ``flush_every`` accumulate)."""
-        key = self.campaign if campaign is None else campaign
-        self._pending.setdefault(key, []).append(
-            (config_hash, config, report))
-        self._buffered += 1
-        if self._buffered >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> int:
-        """Write every buffered row (one transaction per campaign)."""
-        written = 0
-        for campaign, rows in self._pending.items():
-            written += self.store.put_many(rows, campaign=campaign)
-        self._pending.clear()
-        self._buffered = 0
-        return written
-
-    def __enter__(self) -> "BufferedWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.flush()
 
 
 def _numeric_columns() -> List[str]:

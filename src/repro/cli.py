@@ -86,7 +86,7 @@ from typing import List, Optional
 from repro.campaign import CampaignRunner, ResultStore, backend_registry, \
     campaign_registry, expand_campaign, sweep
 from repro.campaign import golden as golden_mod
-from repro.campaign.engine import STORE_FILENAME, shared_runner
+from repro.campaign.engine import STORE_FILENAME
 from repro.campaign.store import StoreError
 from repro.experiments import ablation as ablation_mod
 from repro.experiments.config import THRESHOLD_SWEEP_C, ExperimentConfig
@@ -133,6 +133,13 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
     except ValueError as error:     # --warmup nan, --measure 0, ...
         print(f"error: {error}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _runner(args: argparse.Namespace) -> CampaignRunner:
+    """The campaign runner the ``--workers``/``--backend``/``--cache-dir``
+    flags describe (every command that runs a sweep uses one)."""
+    return CampaignRunner(workers=args.workers, cache_dir=args.cache_dir,
+                          backend=args.backend)
 
 
 def _threshold(text: str) -> float:
@@ -467,10 +474,9 @@ def _dispatch(args: argparse.Namespace,
         else:
             base = _base_config(args)
             figure, _ = _FIGURES[args.command]
-            print(figure(
-                THRESHOLD_SWEEP_C, base, workers=args.workers,
-                cache_dir=args.cache_dir,
-                backend=args.backend).to_text())
+            with _runner(args) as runner:
+                print(figure(THRESHOLD_SWEEP_C, base,
+                             runner=runner).to_text())
         return 0
     if args.command == "narrative":
         print(narrative_sec52(threshold_c=args.threshold).to_text())
@@ -523,10 +529,8 @@ def _dispatch(args: argparse.Namespace,
         except ValueError as error:     # typo'd campaign/scenario name
             print(f"error: {error}", file=sys.stderr)
             return 2
-        runner = CampaignRunner(workers=args.workers,
-                                cache_dir=args.cache_dir,
-                                backend=args.backend)
-        result = runner.run(configs, name=args.name)
+        with _runner(args) as runner:
+            result = runner.run(configs, name=args.name)
         print(result.to_json() if args.json else result.to_text())
         return 0
     if args.command == "sweep":
@@ -540,27 +544,25 @@ def _dispatch(args: argparse.Namespace,
         except ValueError as error:     # typo'd scenario name
             print(f"error: {error}", file=sys.stderr)
             return 2
-        runner = CampaignRunner(workers=args.workers,
-                                cache_dir=args.cache_dir,
-                                backend=args.backend)
-        result = runner.run(configs, name="sweep")
+        with _runner(args) as runner:
+            result = runner.run(configs, name="sweep")
         print(result.to_json() if args.json else result.to_text())
         return 0
     if args.command == "ablation":
-        rows = ablation_mod.ALL_ABLATIONS[args.name](
-            base=_base_config(args), workers=args.workers,
-            cache_dir=args.cache_dir, backend=args.backend)
+        base = _base_config(args)
+        with _runner(args) as runner:
+            rows = ablation_mod.ALL_ABLATIONS[args.name](base=base,
+                                                         runner=runner)
         print(ablation_mod.render(f"Ablation: {args.name}", rows))
         return 0
     if args.command == "scaling":
         from repro.experiments import scaling
+        base = _base_config(args)
         try:
-            rows = scaling.scaling_study(core_counts=tuple(args.cores),
-                                         threshold_c=args.threshold,
-                                         base=_base_config(args),
-                                         workers=args.workers,
-                                         cache_dir=args.cache_dir,
-                                         backend=args.backend)
+            with _runner(args) as runner:
+                rows = scaling.scaling_study(
+                    core_counts=tuple(args.cores),
+                    threshold_c=args.threshold, base=base, runner=runner)
         except ValueError as error:     # --cores 0, --cores 1
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -594,8 +596,6 @@ def _dispatch_baseline(args: argparse.Namespace) -> int:
     from repro.campaign.golden import GoldenBaseline, GoldenError
 
     path = golden_mod.golden_path(args.name, args.baseline_dir)
-    runner = shared_runner(cache_dir=args.cache_dir,
-                           backend=args.backend)
 
     if args.baseline_command in ("record", "promote"):
         exists = path.is_file()
@@ -616,8 +616,8 @@ def _dispatch_baseline(args: argparse.Namespace) -> int:
         except ValueError as error:   # typo'd campaign/scenario name
             print(f"error: {error}", file=sys.stderr)
             return 2
-        result = runner.run(configs, name=args.name,
-                            workers=args.workers)
+        with _runner(args) as runner:
+            result = runner.run(configs, name=args.name)
         try:
             golden = GoldenBaseline.from_result(result,
                                                 campaign=args.name)
@@ -655,8 +655,9 @@ def _dispatch_baseline(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         solver = args.solver or golden.solver
-        result = runner.run(golden.configs(solver=solver),
-                            name=args.name, workers=args.workers)
+        with _runner(args) as runner:
+            result = runner.run(golden.configs(solver=solver),
+                                name=args.name)
         report = golden.compare(result, solver=solver,
                                 backend=args.backend)
         if args.report:

@@ -1,9 +1,10 @@
 """Experiment harness.
 
 One entry point per table/figure of the paper's evaluation (Sec. 5),
-built on a shared runner that assembles platform + thermal model + MPOS
-+ SDR application + policy, executes the warm-up and measurement phases,
-and emits a :class:`~repro.metrics.report.RunReport`.
+built on one experiment runner (:func:`run_experiment`) that assembles
+platform + thermal model + MPOS + SDR application + policy, executes
+the warm-up and measurement phases, and emits a
+:class:`~repro.metrics.report.RunReport`.
 
 This package owns no registry of its own — every dispatch field of
 :class:`ExperimentConfig` resolves through the registries of the layer

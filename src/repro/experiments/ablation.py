@@ -14,7 +14,8 @@ each piece is measurable:
 
 The policy variants (no-condition-2 Migra, the original Stop&Go) are
 registered policies in their own right — each ablation is just a list
-of configurations driven through the shared campaign engine, so
+of configurations run on the :class:`~repro.campaign.CampaignRunner`
+passed as ``runner`` (a fresh in-memory one when none is given), so
 ``repro ablation <name> --workers N`` parallelizes it, ``--backend``
 picks the execution backend, and ``--cache-dir`` reads previously
 simulated rows from the persistent result store.
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.campaign import shared_runner
+from repro.campaign import CampaignRunner
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import RunReport
 from repro.policies.migra import MigraThermalBalancer
@@ -52,14 +53,12 @@ class AblationRow:
                 f"migr/s={self.migrations_per_s:5.2f}")
 
 
-def _rows(labelled: Sequence[tuple], workers: int = 1,
-cache_dir: Optional[str] = None,
-backend: str = "serial") -> List[AblationRow]:
-    """Run ``(label, config)`` pairs through the campaign engine."""
+def _rows(labelled: Sequence[tuple],
+          runner: Optional[CampaignRunner] = None) -> List[AblationRow]:
+    """Run ``(label, config)`` pairs on ``runner``."""
     labels = [label for label, _ in labelled]
     configs = [config for _, config in labelled]
-    result = shared_runner(cache_dir, backend).run(
-        configs, name="ablation", workers=workers)
+    result = (runner or CampaignRunner()).run(configs, name="ablation")
     return [AblationRow(label=label,
                         pooled_std_c=report.pooled_std_c,
                         spatial_std_c=report.spatial_std_c,
@@ -113,9 +112,7 @@ def _stopgo_original(config: ExperimentConfig) -> StopAndGo:
 def ablation_candidate_filter(base: Optional[ExperimentConfig] = None,
                               threshold_c: float = 2.0,
                               package: str = "highperf",
-                              workers: int = 1,
-                              cache_dir: Optional[str] = None,
-                              backend: str = "serial",
+                              runner: Optional[CampaignRunner] = None,
                               ) -> List[AblationRow]:
     """Full policy vs condition-2-free variant."""
     base = base or ExperimentConfig()
@@ -123,51 +120,46 @@ def ablation_candidate_filter(base: Optional[ExperimentConfig] = None,
                        package=package)
     return _rows([("full policy", cfg),
                   ("without condition 2", cfg.variant(
-                      policy="migra-nocond2"))], workers, cache_dir, backend)
+                      policy="migra-nocond2"))], runner)
 
 
 def ablation_top_k(base: Optional[ExperimentConfig] = None,
                    values: Sequence[int] = (1, 2, 3),
                    threshold_c: float = 2.0,
-                   workers: int = 1,
-                   cache_dir: Optional[str] = None,
-                   backend: str = "serial") -> List[AblationRow]:
+                   runner: Optional[CampaignRunner] = None,
+                   ) -> List[AblationRow]:
     """Phase-2 search width (the paper prunes to the top few loads)."""
     base = base or ExperimentConfig()
     return _rows([(f"top_k={k}",
                    base.variant(policy="migra", threshold_c=threshold_c,
                                 top_k=k))
-                  for k in values], workers, cache_dir, backend)
+                  for k in values], runner)
 
 
 def ablation_strategy(base: Optional[ExperimentConfig] = None,
                       threshold_c: float = 2.0,
-                      workers: int = 1,
-                      cache_dir: Optional[str] = None,
-                      backend: str = "serial") -> List[AblationRow]:
+                      runner: Optional[CampaignRunner] = None,
+                      ) -> List[AblationRow]:
     """Replication vs recreation with the full policy running."""
     base = base or ExperimentConfig()
     return _rows([(strategy,
                    base.variant(policy="migra", threshold_c=threshold_c,
                                 migration_strategy=strategy))
-                  for strategy in ("replication", "recreation")],
-                 workers, cache_dir, backend)
+                  for strategy in ("replication", "recreation")], runner)
 
 
 def ablation_queue_capacity(base: Optional[ExperimentConfig] = None,
                             capacities: Sequence[int] = (2, 4, 6, 8, 11),
                             policy: str = "stopgo",
                             threshold_c: float = 3.0,
-                            workers: int = 1,
-                            cache_dir: Optional[str] = None,
-                            backend: str = "serial",
+                            runner: Optional[CampaignRunner] = None,
                             ) -> List[AblationRow]:
     """Pipeline buffering against stalls (Sec. 5.2's queue discussion)."""
     base = base or ExperimentConfig()
     return _rows([(f"capacity={cap}",
                    base.variant(policy=policy, threshold_c=threshold_c,
                                 queue_capacity=cap))
-                  for cap in capacities], workers, cache_dir, backend)
+                  for cap in capacities], runner)
 
 
 def ablation_sensor_period(base: Optional[ExperimentConfig] = None,
@@ -175,25 +167,23 @@ def ablation_sensor_period(base: Optional[ExperimentConfig] = None,
                                                          0.1),
                            threshold_c: float = 2.0,
                            package: str = "highperf",
-                           workers: int = 1,
-                           cache_dir: Optional[str] = None,
-                           backend: str = "serial") -> List[AblationRow]:
+                           runner: Optional[CampaignRunner] = None,
+                           ) -> List[AblationRow]:
     """Sensor rate: slower monitoring loosens the balance the policy
     can hold, especially on the fast package."""
     base = base or ExperimentConfig()
     return _rows([(f"sensor={1000 * period:.0f}ms",
                    base.variant(policy="migra", threshold_c=threshold_c,
                                 package=package, sensor_period_s=period))
-                  for period in periods_s], workers, cache_dir, backend)
+                  for period in periods_s], runner)
 
 
 def ablation_sensor_noise(base: Optional[ExperimentConfig] = None,
                           sigmas_c: Sequence[float] = (0.0, 0.25, 0.5,
                                                        1.0, 2.0),
                           threshold_c: float = 2.0,
-                          workers: int = 1,
-                          cache_dir: Optional[str] = None,
-                          backend: str = "serial") -> List[AblationRow]:
+                          runner: Optional[CampaignRunner] = None,
+                          ) -> List[AblationRow]:
     """Robustness to sensor noise: the policy reads noisy temperatures
     while the metrics measure ground truth.  Balance should degrade
     gracefully, with noise comparable to the threshold causing spurious
@@ -202,15 +192,14 @@ def ablation_sensor_noise(base: Optional[ExperimentConfig] = None,
     return _rows([(f"noise={sigma:.2f}C",
                    base.variant(policy="migra", threshold_c=threshold_c,
                                 sensor_noise_c=sigma))
-                  for sigma in sigmas_c], workers, cache_dir, backend)
+                  for sigma in sigmas_c], runner)
 
 
 def ablation_load_jitter(base: Optional[ExperimentConfig] = None,
                          jitters: Sequence[float] = (0.0, 0.1, 0.2, 0.4),
                          threshold_c: float = 2.0,
-                         workers: int = 1,
-                         cache_dir: Optional[str] = None,
-                         backend: str = "serial") -> List[AblationRow]:
+                         runner: Optional[CampaignRunner] = None,
+                         ) -> List[AblationRow]:
     """Data-dependent workload: per-frame cycle costs vary by +-j while
     the policy plans with the nominal loads.  Balance and QoS should
     hold for realistic variation levels."""
@@ -218,14 +207,12 @@ def ablation_load_jitter(base: Optional[ExperimentConfig] = None,
     return _rows([(f"jitter=+-{100 * jitter:.0f}%",
                    base.variant(policy="migra", threshold_c=threshold_c,
                                 load_jitter=jitter))
-                  for jitter in jitters], workers, cache_dir, backend)
+                  for jitter in jitters], runner)
 
 
 def ablation_stopgo_variant(base: Optional[ExperimentConfig] = None,
                             threshold_c: float = 3.0,
-                            workers: int = 1,
-                            cache_dir: Optional[str] = None,
-                            backend: str = "serial",
+                            runner: Optional[CampaignRunner] = None,
                             ) -> List[AblationRow]:
     """The paper's modified Stop&Go (relative thresholds) vs the
     original (absolute panic temperature + resume timeout, [5])."""
@@ -233,15 +220,13 @@ def ablation_stopgo_variant(base: Optional[ExperimentConfig] = None,
     cfg = base.variant(policy="stopgo", threshold_c=threshold_c)
     return _rows([("modified (relative band)", cfg),
                   ("original (panic 72C + 1s timeout)",
-                   cfg.variant(policy="stopgo-original"))],
-                 workers, cache_dir, backend)
+                   cfg.variant(policy="stopgo-original"))], runner)
 
 
 def ablation_platform(base: Optional[ExperimentConfig] = None,
                       threshold_c: float = 3.0,
-                      workers: int = 1,
-                      cache_dir: Optional[str] = None,
-                      backend: str = "serial") -> List[AblationRow]:
+                      runner: Optional[CampaignRunner] = None,
+                      ) -> List[AblationRow]:
     """Conf1 (streaming cores, 0.5 W) vs Conf2 (ARM11-class, 0.27 W)
     under the full policy — lower-power cores leave a smaller gradient
     to balance in the first place."""
@@ -256,7 +241,7 @@ def ablation_platform(base: Optional[ExperimentConfig] = None,
                          base.variant(policy="energy",
                                       threshold_c=threshold_c,
                                       platform=platform)))
-    return _rows(labelled, workers, cache_dir, backend)
+    return _rows(labelled, runner)
 
 
 def render(title: str, rows: List[AblationRow]) -> str:

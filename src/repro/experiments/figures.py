@@ -1,15 +1,15 @@
 """Figure regenerators (Figs. 2, 7, 8, 9, 10, 11).
 
 Each ``figureN()`` returns a :class:`FigureSeries` — the series the
-paper plots.  The simulation sweeps behind Figs. 7-11 are driven
-through a shared :class:`~repro.campaign.CampaignRunner`, whose
-config-hash cache ensures that e.g. Fig. 7 and Fig. 8 (same runs,
-different metric) do not simulate twice, whose ``workers`` /
-``backend`` knobs parallelize a sweep (``repro fig7 --workers 8``
-spreads its warm-up groups over 8 processes), and whose ``cache_dir``
-reads through the persistent result store — ``repro fig7 --cache-dir
-DIR`` regenerates the figure from stored rows and only simulates
-missing configs.
+paper plots.  The simulation sweeps behind Figs. 7-11 run on the
+:class:`~repro.campaign.CampaignRunner` passed as ``runner`` (a fresh
+in-memory one when none is given).  Passing one runner to Fig. 7 and
+Fig. 8 (same runs, different metric) simulates the sweep once; its
+``workers`` / ``backend`` parallelize a sweep (``repro fig7 --workers
+8`` spreads its warm-up groups over 8 processes), and its
+``cache_dir`` reads through the persistent result store — ``repro
+fig7 --cache-dir DIR`` regenerates the figure from stored rows and
+only simulates missing configs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign import SWEEP_POLICIES, shared_runner, sweep
+from repro.campaign import SWEEP_POLICIES, CampaignRunner, sweep
 from repro.experiments.config import (
     THRESHOLD_SWEEP_C,
     ExperimentConfig,
@@ -66,26 +66,24 @@ class FigureSeries:
 
 
 # ----------------------------------------------------------------------
-# shared campaign engine with caching
+# the policy x threshold matrix, through a campaign runner
 # ----------------------------------------------------------------------
 def run_matrix(package: str,
                thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
                policies: Sequence[str] = SWEEP_POLICIES,
                base: Optional[ExperimentConfig] = None,
-               workers: int = 1,
-               cache_dir: Optional[str] = None,
-               backend: str = "serial",
+               runner: Optional[CampaignRunner] = None,
                ) -> Dict[Tuple[str, float], RunReport]:
     """All (policy, threshold) reports for one package.
 
-    Driven through the shared campaign engine: cached runs (in memory,
-    and in the ``cache_dir`` result store if given) are reused, the
-    rest execute through ``backend`` over ``workers`` processes.
+    Runs on ``runner``: its cached runs (in memory, and in its result
+    store if it has one) are reused, the rest execute through its
+    backend and workers.
     """
     configs = sweep(base, package=package, policy=tuple(policies),
                     threshold_c=tuple(float(t) for t in thresholds))
-    result = shared_runner(cache_dir, backend).run(
-        configs, name=f"{package} matrix", workers=workers)
+    result = (runner or CampaignRunner()).run(
+        configs, name=f"{package} matrix")
     keys = [(policy, float(threshold)) for policy in policies
             for threshold in thresholds]
     return {key: run.report for key, run in zip(keys, result.runs)}
@@ -94,12 +92,9 @@ def run_matrix(package: str,
 def _policy_series(package: str, metric, thresholds: Sequence[float],
                    policies: Sequence[str],
                    base: Optional[ExperimentConfig],
-                   workers: int = 1,
-                   cache_dir: Optional[str] = None,
-                   backend: str = "serial",
+                   runner: Optional[CampaignRunner] = None,
                    ) -> Dict[str, List[float]]:
-    matrix = run_matrix(package, thresholds, policies, base, workers,
-                        cache_dir, backend)
+    matrix = run_matrix(package, thresholds, policies, base, runner)
     series: Dict[str, List[float]] = {}
     for policy in policies:
         label = POLICY_LABELS.get(policy, policy)
@@ -146,13 +141,11 @@ def figure2(sizes_kb: Sequence[int] = (64, 128, 256, 384, 512, 768, 1024),
 # ----------------------------------------------------------------------
 def figure7(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
             base: Optional[ExperimentConfig] = None,
-            workers: int = 1,
-            cache_dir: Optional[str] = None,
-            backend: str = "serial") -> FigureSeries:
+            runner: Optional[CampaignRunner] = None) -> FigureSeries:
     """Temperature standard deviation, mobile embedded package."""
     series = _policy_series(
         "mobile", lambda r: r.pooled_std_c, thresholds,
-        SWEEP_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, runner)
     return FigureSeries(
         figure="Figure 7",
         title="Temp. standard deviation for embedded SoCs",
@@ -162,13 +155,11 @@ def figure7(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
 
 def figure8(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
             base: Optional[ExperimentConfig] = None,
-            workers: int = 1,
-            cache_dir: Optional[str] = None,
-            backend: str = "serial") -> FigureSeries:
+            runner: Optional[CampaignRunner] = None) -> FigureSeries:
     """Deadline misses, mobile embedded package."""
     series = _policy_series(
         "mobile", lambda r: float(r.deadline_misses), thresholds,
-        SWEEP_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, runner)
     return FigureSeries(
         figure="Figure 8",
         title="Deadline misses for the embedded mobile system",
@@ -178,13 +169,11 @@ def figure8(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
 
 def figure9(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
             base: Optional[ExperimentConfig] = None,
-            workers: int = 1,
-            cache_dir: Optional[str] = None,
-            backend: str = "serial") -> FigureSeries:
+            runner: Optional[CampaignRunner] = None) -> FigureSeries:
     """Temperature standard deviation, high-performance package."""
     series = _policy_series(
         "highperf", lambda r: r.pooled_std_c, thresholds,
-        SWEEP_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, runner)
     return FigureSeries(
         figure="Figure 9",
         title="Standard deviation for the high performance SoCs",
@@ -194,13 +183,11 @@ def figure9(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
 
 def figure10(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
              base: Optional[ExperimentConfig] = None,
-             workers: int = 1,
-             cache_dir: Optional[str] = None,
-             backend: str = "serial") -> FigureSeries:
+             runner: Optional[CampaignRunner] = None) -> FigureSeries:
     """Deadline misses, high-performance package."""
     series = _policy_series(
         "highperf", lambda r: float(r.deadline_misses), thresholds,
-        SWEEP_POLICIES, base, workers, cache_dir, backend)
+        SWEEP_POLICIES, base, runner)
     return FigureSeries(
         figure="Figure 10",
         title="Deadline misses for high-performance systems",
@@ -210,16 +197,13 @@ def figure10(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
 
 def figure11(thresholds: Sequence[float] = THRESHOLD_SWEEP_C,
              base: Optional[ExperimentConfig] = None,
-             workers: int = 1,
-             cache_dir: Optional[str] = None,
-             backend: str = "serial") -> FigureSeries:
+             runner: Optional[CampaignRunner] = None) -> FigureSeries:
     """Migrations per second of the balancing policy, both packages."""
     xs = [float(t) for t in thresholds]
     series: Dict[str, List[float]] = {}
     for package, label in (("mobile", "embedded mobile"),
                            ("highperf", "high-performance")):
-        matrix = run_matrix(package, thresholds, ("migra",), base,
-                            workers, cache_dir, backend)
+        matrix = run_matrix(package, thresholds, ("migra",), base, runner)
         series[label] = [matrix[("migra", t)].migrations_per_s
                          for t in xs]
     return FigureSeries(

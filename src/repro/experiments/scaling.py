@@ -4,7 +4,9 @@ The paper validates the policy on a 3-core MPSoC; the algorithm itself
 is N-core (phase 1 filters candidate pairs among all processors).  This
 study instantiates the generalized SDR pipeline — one equalizer band
 per core — on 2 to 6 cores and compares the thermal balancing policy
-against the static energy-balanced mapping at every size.
+against the static energy-balanced mapping at every size.  The runs go
+through the :class:`~repro.campaign.CampaignRunner` passed as
+``runner`` (a fresh in-memory one when none is given).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.campaign import shared_runner
+from repro.campaign import CampaignRunner
 from repro.experiments.config import ExperimentConfig
 
 
@@ -48,14 +50,13 @@ class ScalingRow:
 def scaling_study(core_counts: Sequence[int] = (2, 3, 4, 5, 6),
                   threshold_c: float = 2.0,
                   base: Optional[ExperimentConfig] = None,
-                  workers: int = 1,
-                  cache_dir: Optional[str] = None,
-                  backend: str = "serial") -> List[ScalingRow]:
+                  runner: Optional[CampaignRunner] = None,
+                  ) -> List[ScalingRow]:
     """Run the policy-vs-static comparison for each core count.
 
-    All (core count x policy) runs go through one campaign, so
-    ``workers > 1`` parallelizes the whole study; with ``cache_dir``
-    previously simulated rows come straight from the result store.
+    All (core count x policy) runs go through one campaign on
+    ``runner``, so its workers parallelize the whole study, and a
+    runner with a result store serves previously simulated rows.
     """
     base = base or ExperimentConfig()
     pairs = []
@@ -65,9 +66,8 @@ def scaling_study(core_counts: Sequence[int] = (2, 3, 4, 5, 6),
         shape = dict(n_cores=n, n_bands=n, threshold_c=threshold_c)
         pairs.append((base.variant(policy="energy", **shape),
                       base.variant(policy="migra", **shape)))
-    campaign = shared_runner(cache_dir, backend).run(
-        [cfg for pair in pairs for cfg in pair], name="scaling",
-        workers=workers)
+    campaign = (runner or CampaignRunner()).run(
+        [cfg for pair in pairs for cfg in pair], name="scaling")
     rows: List[ScalingRow] = []
     for n, (static_cfg, balanced_cfg) in zip(core_counts, pairs):
         static = campaign.report_for(static_cfg)

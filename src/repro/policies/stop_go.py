@@ -33,7 +33,8 @@ class StopAndGo(ThermalPolicy):
     mode:
         ``"threshold"`` — the paper's modified variant (default);
         ``"timeout"`` — the original: gate above ``panic_temp_c``,
-        resume after ``timeout_s``.
+        resume after ``timeout_s``; it reports as
+        ``stop-go-original``.
     panic_temp_c, timeout_s:
         Parameters of the original variant.
     """
@@ -46,6 +47,8 @@ class StopAndGo(ThermalPolicy):
         if mode not in ("threshold", "timeout"):
             raise ValueError(f"unknown Stop&Go mode {mode!r}")
         self.mode = mode
+        if mode == "timeout":
+            self.name = "stop-go-original"
         self.panic_temp_c = float(panic_temp_c)
         self.timeout_s = float(timeout_s)
         self.gate_events = 0

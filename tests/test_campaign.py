@@ -214,11 +214,6 @@ class TestCampaignRunner:
         with pytest.raises(ValueError):
             CampaignRunner(workers=0)
 
-    def test_invalid_run_workers_rejected(self):
-        runner = CampaignRunner()
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            runner.run([ExperimentConfig(**SHORT)], workers=0)
-
 
 class TestExecutionBackends:
     def test_builtin_backends_registered(self):
@@ -462,13 +457,9 @@ class TestDistributedQueueDir:
 
 
 class TestIncrementalAnalysis:
-    def test_fig7_cache_dir_simulates_zero_on_second_run(
-            self, tmp_path, monkeypatch):
-        """Acceptance: ``repro fig7 --cache-dir DIR`` run twice
-        simulates zero configs the second time — every row comes from
-        the persistent store."""
-        from repro.campaign import clear_shared_runners
-        from repro.experiments import figures
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The configs simulated so far in the test."""
         from repro.experiments import runner as runner_mod
         calls = []
         real = runner_mod.finalize_run
@@ -480,35 +471,38 @@ class TestIncrementalAnalysis:
             return real(sut, energy_j)
 
         monkeypatch.setattr(runner_mod, "finalize_run", counting)
-        base = ExperimentConfig(**SHORT)
-        kwargs = dict(thresholds=(1.0, 2.0), base=base,
-                      cache_dir=str(tmp_path), backend="serial")
-        clear_shared_runners()
-        try:
-            first = figures.figure7(**kwargs)
-            n_simulated = len(calls)
-            # 3 policies x 2 thresholds, but energy never reads its
-            # threshold: its two configs share one run.
-            assert n_simulated == 5
-            clear_shared_runners()        # drop all in-memory caches
-            second = figures.figure7(**kwargs)
-            assert len(calls) == n_simulated      # zero new simulations
-            assert second == first
-        finally:
-            clear_shared_runners()
+        return calls
 
-    def test_scaling_reads_through_store(self, tmp_path):
+    def test_fig7_cache_dir_simulates_zero_on_second_run(
+            self, tmp_path, calls):
+        """Acceptance: ``repro fig7 --cache-dir DIR`` run twice
+        simulates zero configs the second time — every row comes from
+        the persistent store."""
+        from repro.experiments import figures
+        base = ExperimentConfig(**SHORT)
+        # A fresh runner per figure, as a fresh `repro fig7` process
+        # builds: only the store carries rows from one to the next.
+        with CampaignRunner(cache_dir=str(tmp_path)) as runner:
+            first = figures.figure7((1.0, 2.0), base, runner=runner)
+        n_simulated = len(calls)
+        # 3 policies x 2 thresholds, but energy never reads its
+        # threshold: its two configs share one run.
+        assert n_simulated == 5
+        with CampaignRunner(cache_dir=str(tmp_path)) as runner:
+            second = figures.figure7((1.0, 2.0), base, runner=runner)
+        assert len(calls) == n_simulated      # zero new simulations
+        assert second == first
+
+    def test_scaling_reads_through_store(self, tmp_path, calls):
         from repro.experiments.scaling import scaling_study
         base = ExperimentConfig(**SHORT)
-        from repro.campaign import clear_shared_runners
-        clear_shared_runners()
-        try:
+        with CampaignRunner(cache_dir=str(tmp_path)) as runner:
             first = scaling_study(core_counts=(2, 3), base=base,
-                                  cache_dir=str(tmp_path))
-            clear_shared_runners()
+                                  runner=runner)
+        assert len(calls) == 4          # 2 core counts x 2 policies
+        with CampaignRunner(cache_dir=str(tmp_path)) as runner:
             again = scaling_study(core_counts=(2, 3), base=base,
-                                  cache_dir=str(tmp_path))
-        finally:
-            clear_shared_runners()
+                                  runner=runner)
+        assert len(calls) == 4          # zero new simulations
         assert [r.to_text() for r in first] == \
             [r.to_text() for r in again]

@@ -1,7 +1,7 @@
 """Parity and property tests for the fleet-scale store/queue I/O.
 
 PR 10 rebuilt the persistence hot paths around set-at-a-time SQL:
-``ResultStore.put_many`` / ``BufferedWriter``, the ``ATTACH``-based
+``ResultStore.put_many``, the ``ATTACH``-based
 ``merge_from``, the batched ``CampaignQueue.enqueue`` with its
 set-based torn-row repair, keyset-cursor leasing and the one-pass
 ``status`` aggregation — all under WAL journal mode.  Every batched
@@ -35,7 +35,7 @@ from repro.campaign.backends import (ExecutionBackend, backend_registry,
                                      lockstep_group_key)
 from repro.campaign.fabric import (CampaignQueue, Coordinator,
                                    _parse_config, run_worker)
-from repro.campaign.store import BufferedWriter, ResultStore
+from repro.campaign.store import ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import RunReport
 
@@ -117,7 +117,7 @@ def enqueue_per_row(queue: CampaignQueue, configs, campaign: str,
 
 
 # ----------------------------------------------------------------------
-# store: put_many / BufferedWriter vs per-row put
+# store: put_many vs per-row put
 # ----------------------------------------------------------------------
 class TestPutMany:
     def test_put_many_matches_per_row_puts(self, tmp_path):
@@ -153,48 +153,6 @@ class TestPutMany:
         store = ResultStore()
         assert store.put_many([], campaign="x") == 0
         assert len(store) == 0
-        store.close()
-
-
-class TestBufferedWriter:
-    def test_flushes_at_the_batch_boundary(self):
-        store = ResultStore()
-        writer = store.buffered(campaign="fleet", flush_every=4)
-        for config_hash, config, report in _rows(3):
-            writer.put(config_hash, config, report)
-        assert len(store) == 0 and writer.pending == 3
-        writer.put(*_rows(5)[4])             # 4th row: auto-flush
-        assert len(store) == 4 and writer.pending == 0
-        store.close()
-
-    def test_context_exit_flushes_the_tail(self):
-        store = ResultStore()
-        with store.buffered(campaign="fleet") as writer:
-            for config_hash, config, report in _rows(7):
-                writer.put(config_hash, config, report)
-        assert len(store) == 7
-        store.close()
-
-    def test_buffered_image_matches_per_row(self, tmp_path):
-        rows = _rows(20)
-        buffered = ResultStore(tmp_path / "buffered.sqlite")
-        loop = ResultStore(tmp_path / "loop.sqlite")
-        with buffered.buffered(campaign="a", flush_every=6) as writer:
-            for i, (config_hash, config, report) in enumerate(rows):
-                # Mixed campaigns through one writer.
-                writer.put(config_hash, config, report,
-                           campaign="b" if i % 3 else "a")
-        for i, (config_hash, config, report) in enumerate(rows):
-            loop.put(config_hash, config, report,
-                     campaign="b" if i % 3 else "a")
-        assert buffered.canonical_bytes() == loop.canonical_bytes()
-        buffered.close()
-        loop.close()
-
-    def test_rejects_a_nonpositive_batch(self):
-        store = ResultStore()
-        with pytest.raises(ValueError, match="flush_every"):
-            BufferedWriter(store, flush_every=0)
         store.close()
 
 
@@ -721,3 +679,36 @@ class TestBatchedWorkerDrain:
         assert store.canonical_bytes() == reference
         store.close()
         coordinator.close()
+
+    def test_a_lease_spanning_two_campaigns_stores_rows_per_campaign(
+            self, tmp_path):
+        """One lease holding two campaigns' tasks stores each row under
+        its own campaign: the same image per-row puts write."""
+        configs = _configs(6)
+        owners = ["b" if i % 3 else "a" for i in range(len(configs))]
+        queue_dir = tmp_path / "queue"
+        with CampaignQueue(queue_dir) as queue:
+            for campaign in ("a", "b"):
+                queue.enqueue([config for config, owner
+                               in zip(configs, owners) if owner == campaign],
+                              campaign=campaign)
+        leased = []
+
+        def hook(stage, tasks):
+            if stage == "leased":
+                leased.append({task.campaign for task in tasks})
+
+        with backend_registry.temporarily(_STUB, _StubBackend()):
+            completed = run_worker(queue_dir, worker_id="mixed",
+                                   backend=_STUB, max_batches=1,
+                                   fault_hook=hook)
+        assert leased == [{"a", "b"}] and completed == len(configs)
+
+        stored = ResultStore(fabric.worker_store_path(queue_dir, "mixed"))
+        loop = ResultStore()
+        for config, owner in zip(configs, owners):
+            loop.put(config.config_hash(), config.to_dict(),
+                     _report(config.seed), campaign=owner)
+        assert stored.canonical_bytes() == loop.canonical_bytes()
+        stored.close()
+        loop.close()

@@ -5,11 +5,13 @@ uses (``peek_event``, ``PeriodicProcess.next_event``,
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignRunner, sweep
 from repro.campaign.lockstep import run_lockstep_group
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
+from repro.thermal.solvers import make_solver, solver_registry
 
 SHORT = dict(warmup_s=1.0, measure_s=1.0)
 
@@ -95,3 +97,32 @@ class TestLockstepGroup:
         got = run_lockstep_group(configs)
         assert [r.to_dict() for r in got] == \
             [r.to_dict() for r in expected]
+
+
+class _DuckSolver:
+    """A solver with only ``advance`` and ``steady_state``."""
+
+    def __init__(self, network):
+        self._exact = make_solver("dense-exact", network)
+
+    def advance(self, temps, block_power, dt):
+        return self._exact.advance(temps, block_power, dt)
+
+    def steady_state(self, block_power):
+        return self._exact.steady_state(block_power)
+
+
+class TestDuckTypedSolver:
+    def test_vectorized_matches_serial_without_advance_batch(self):
+        """The registry accepts any object with ``advance`` and
+        ``steady_state``; lockstep steps such a solver's simulators
+        one by one instead of calling ``advance_batch``."""
+        with solver_registry.temporarily("duck", _DuckSolver):
+            configs = sweep(ExperimentConfig(solver="duck", **SHORT),
+                            policy=("migra", "stopgo"),
+                            threshold_c=(1.0, 2.0))
+            serial = CampaignRunner(backend="serial").run(
+                configs, name="duck")
+            vectorized = CampaignRunner(backend="vectorized").run(
+                configs, name="duck")
+        assert vectorized.to_json() == serial.to_json()
