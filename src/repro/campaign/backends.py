@@ -53,6 +53,7 @@ from __future__ import annotations
 import multiprocessing
 import shutil
 import tempfile
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -299,12 +300,13 @@ class DistributedBackend(ExecutionBackend):
         queue_dir = (Path(tempfile.mkdtemp(prefix="repro-queue-")) if adhoc
                      else Path(context.cache_dir) / "queue")
         campaign = context.campaign if context is not None else "adhoc"
-        coordinator = Coordinator(queue_dir)
         try:
-            coordinator.enqueue(configs, campaign=campaign)
-            coordinator.run(workers=workers)
-            return collect_reports(coordinator, configs)
+            # Inside the try: a queue that refuses to open (an invalid
+            # REPRO_FABRIC_LEASE_S, say) must not leak the directory.
+            with closing(Coordinator(queue_dir)) as coordinator:
+                coordinator.enqueue(configs, campaign=campaign)
+                coordinator.run(workers=workers)
+                return collect_reports(coordinator, configs)
         finally:
-            coordinator.close()
             if adhoc:
                 shutil.rmtree(queue_dir, ignore_errors=True)

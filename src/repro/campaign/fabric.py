@@ -13,7 +13,9 @@ resume without recomputation:
   transaction — a crash between any two writes rolls back cleanly on
   the next open.  The hot paths are set-at-a-time for fleet-scale
   campaigns: :meth:`CampaignQueue.enqueue` journals a whole submission
-  with one ``executemany`` plus one set-based torn-row repair pass;
+  with one ``executemany`` plus one set-based torn-row repair pass,
+  encoding each config's canonical JSON once (the hash and the row
+  text share it);
   :meth:`CampaignQueue.lease` chooses a group and marks it leased in
   one write transaction, through a state index read in rowid order
   (with a keyset cursor over damaged rows) and a group index over
@@ -70,7 +72,10 @@ Environment knobs (both optional): ``REPRO_FABRIC_LEASE_S`` seeds a
 *new* queue's lease timeout (it becomes journal policy: workers
 opening an existing queue inherit its stored setting, not their own
 environment), and ``REPRO_FABRIC_KILL_AFTER`` is the fault injection
-above.  The in-worker execution backend is
+above.  Like every queue-policy value, the lease timeout must be a
+finite number ``>= 0``; a bad one (``nan``, ``inf``, ``-5``, ``abc``)
+raises :class:`QueueError` instead of being stored or replaced by
+the default.  The in-worker execution backend is
 ``Coordinator(worker_backend=)`` or ``repro worker --backend`` (default
 ``serial``).
 """
@@ -78,6 +83,7 @@ above.  The in-worker execution backend is
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -111,12 +117,25 @@ DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.05
 
 
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
+def _policy_value(key: str, value, source: str) -> float:
+    """A queue-policy setting checked: finite and >= 0, and a whole
+    number for ``retries``.
+
+    ``value`` may be an argument, a journal cell or an environment
+    string; the :class:`QueueError` names ``source``.  The range test
+    also refuses NaN.  It keeps out an infinite lease (never
+    reclaimed), an infinite backoff (a failed task parked forever)
+    and a negative lease (expired as it is taken).
+    """
     try:
-        return float(value) if value else default
-    except ValueError:
-        return default
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not 0 <= number < math.inf or \
+            (key == "retries" and not number.is_integer()):
+        kind = "a whole number" if key == "retries" else "a finite number"
+        raise QueueError(f"{source} must be {kind} >= 0, got {value!r}")
+    return number
 
 
 def _env_int(name: str, default: int) -> int:
@@ -128,7 +147,9 @@ def _env_int(name: str, default: int) -> int:
 
 
 class QueueError(RuntimeError):
-    """The queue file exists but is not a readable campaign queue."""
+    """A queue that cannot be opened: the file is not a readable
+    campaign queue, or its policy (lease timeout, retries, backoff) is
+    invalid, whether passed in, stored or read from the environment."""
 
 
 class FabricError(RuntimeError):
@@ -184,7 +205,13 @@ class CampaignQueue:
     coordinator decides the policy once and every worker that opens
     the same queue (even in another process, with a different
     environment) inherits it.  ``REPRO_FABRIC_LEASE_S`` only seeds a
-    queue that has no stored lease timeout yet.
+    queue that has no stored lease timeout yet, and is read only then.
+
+    Each knob must be finite and ``>= 0`` (``0`` is valid), and
+    ``retries`` a whole number, whether passed in, stored in the
+    journal or read from ``REPRO_FABRIC_LEASE_S``; anything else
+    raises :class:`QueueError` naming the setting, and nothing is
+    written.
     """
 
     def __init__(self, queue_dir, lease_timeout_s: Optional[float] = None,
@@ -208,8 +235,7 @@ class CampaignQueue:
             self._create_schema()
             self.lease_timeout_s = self._resolve_setting(
                 "lease_timeout_s", lease_timeout_s,
-                _env_float("REPRO_FABRIC_LEASE_S",
-                           DEFAULT_LEASE_TIMEOUT_S))
+                DEFAULT_LEASE_TIMEOUT_S, env="REPRO_FABRIC_LEASE_S")
             self.retries = int(self._resolve_setting(
                 "retries", retries, DEFAULT_RETRIES))
             self.backoff_s = self._resolve_setting(
@@ -219,24 +245,29 @@ class CampaignQueue:
             self._conn.close()
             raise QueueError(
                 f"{self.path} is not a campaign queue ({error})") from None
+        except QueueError:      # an invalid policy; nothing was written
+            self._conn.close()
+            raise
 
     def _resolve_setting(self, key: str, explicit: Optional[float],
-                         fallback: float) -> float:
-        """Journal-policy resolution: explicit > stored > fallback."""
+                         default: float,
+                         env: Optional[str] = None) -> float:
+        """Journal-policy resolution: explicit > stored > ``env`` >
+        default, each checked by :func:`_policy_value`."""
         if explicit is not None:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO settings (key, value) "
-                "VALUES (?, ?)", (key, float(explicit)))
-            return float(explicit)
-        row = self._conn.execute(
-            "SELECT value FROM settings WHERE key = ?",
-            (key,)).fetchone()
-        if row is not None:
-            return float(row[0])
+            value = _policy_value(key, explicit, key)
+        else:
+            row = self._conn.execute(
+                "SELECT value FROM settings WHERE key = ?",
+                (key,)).fetchone()
+            if row is not None:
+                return _policy_value(key, row[0], f"{self.path}'s {key}")
+            text = os.environ.get(env) if env else None
+            value = _policy_value(key, text, env) if text else default
         self._conn.execute(
             "INSERT OR REPLACE INTO settings (key, value) "
-            "VALUES (?, ?)", (key, float(fallback)))
-        return float(fallback)
+            "VALUES (?, ?)", (key, value))
+        return value
 
     def _create_schema(self) -> None:
         self._conn.execute(
@@ -310,10 +341,10 @@ class CampaignQueue:
         statements — a chunked membership probe over the submitted
         hashes, one optimistic ``executemany`` insert, and one
         ``executemany`` repair pass over the damaged subset — instead
-        of a statement (plus a conflict probe) per config.  The
-        journal image is byte-identical to the per-row reference
-        enqueue that ``tests/test_fleet_io.py`` keeps as its parity
-        oracle.
+        of a statement (plus a conflict probe) per config, and each
+        config is encoded once (see :meth:`_task_rows`).  The journal
+        image is byte-identical to the per-row reference enqueue that
+        ``tests/test_fleet_io.py`` keeps as its parity oracle.
         """
         rows = self._task_rows(configs, campaign, now)
         if not rows:
@@ -366,19 +397,32 @@ class CampaignQueue:
         enqueued_at)``; duplicate hashes within one submission collapse
         to their first occurrence, exactly as a per-row INSERT OR
         IGNORE treats them.
+
+        Each config is encoded once: its key and text come from one
+        canonical encode (:meth:`ExperimentConfig.hash_and_json`; a
+        duck-typed config offers ``config_hash()`` and ``to_dict()``),
+        and each distinct group key is encoded once per submission.
         """
         from repro.campaign.backends import lockstep_group_key
+        from repro.experiments.config import _canonical_json
         now = time.time() if now is None else now
         rows: List[Tuple] = []
         seen = set()
+        spelled: Dict[Tuple, str] = {}   # group key -> its JSON
         for config in configs:
-            key = config.config_hash()
+            encode = getattr(config, "hash_and_json", None)
+            if encode is not None:
+                key, text = encode()
+            else:
+                key, text = (config.config_hash(),
+                             _canonical_json(config.to_dict()))
             if key in seen:
                 continue
             seen.add(key)
-            rows.append((key, campaign,
-                         json.dumps(config.to_dict(), sort_keys=True),
-                         json.dumps(lockstep_group_key(config)), now))
+            group = lockstep_group_key(config)
+            if group not in spelled:
+                spelled[group] = json.dumps(group)
+            rows.append((key, campaign, text, spelled[group], now))
         return rows
 
     # ------------------------------------------------------------------

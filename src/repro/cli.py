@@ -83,8 +83,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.campaign import CampaignRunner, ResultStore, backend_registry, \
-    campaign_registry, expand_campaign, sweep
+from repro.campaign import CampaignRunner, QueueError, ResultStore, \
+    backend_registry, campaign_registry, expand_campaign, sweep
 from repro.campaign import golden as golden_mod
 from repro.campaign.engine import STORE_FILENAME
 from repro.campaign.store import StoreError
@@ -283,12 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablation", help="run a design-choice ablation "
                                         "study")
     p.add_argument("name", choices=sorted(ablation_mod.ALL_ABLATIONS))
+    _add_phase_options(p)
     _add_engine_options(p)
 
     p = sub.add_parser("scaling",
                        help="core-count scaling study (extension)")
     p.add_argument("--cores", type=int, nargs="+", default=[2, 3, 4, 5])
     p.add_argument("--threshold", type=_threshold, default=2.0)
+    _add_phase_options(p)
     _add_engine_options(p)
 
     p = sub.add_parser("results",
@@ -438,6 +440,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         parser = build_parser()
         return _dispatch(parser.parse_args(argv), parser)
+    except QueueError as error:
+        # A queue that will not open (a foreign file at its path, an
+        # invalid lease/retry/backoff policy), from `worker`, `queue`
+        # or any sweep run with --backend distributed.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into e.g. `head`: close quietly like cat does.
         try:
@@ -676,7 +684,7 @@ def _dispatch_baseline(args: argparse.Namespace) -> int:
 def _dispatch_fabric(args: argparse.Namespace) -> int:
     """The campaign-fabric commands (``worker`` and ``queue``)."""
     from repro.campaign.fabric import (QUEUE_FILENAME, CampaignQueue,
-                                       QueueError, run_worker)
+                                       run_worker)
 
     queue_path = Path(args.queue_dir) / QUEUE_FILENAME
     if not queue_path.is_file():
@@ -686,23 +694,13 @@ def _dispatch_fabric(args: argparse.Namespace) -> int:
         return 2
 
     if args.command == "worker":
-        try:
-            completed = run_worker(args.queue_dir,
-                                   backend=args.backend,
-                                   poll_s=args.poll,
-                                   max_batches=args.max_batches)
-        except QueueError as error:   # corrupt/foreign file at the path
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        completed = run_worker(args.queue_dir, backend=args.backend,
+                               poll_s=args.poll,
+                               max_batches=args.max_batches)
         print(f"worker finished: {completed} task(s) completed")
         return 0
 
-    try:
-        queue = CampaignQueue(args.queue_dir)
-    except QueueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
+    queue = CampaignQueue(args.queue_dir)
     try:
         if args.queue_command == "status":
             # One GROUP BY aggregation covers every state count and

@@ -229,9 +229,23 @@ class ExperimentConfig:
         """
         cached = getattr(self, "_config_hash", None)
         if cached is None:
-            cached = hashlib.sha256(self.to_json().encode()).hexdigest()[:20]
-            object.__setattr__(self, "_config_hash", cached)
+            cached = self.hash_and_json()[0]
         return cached
+
+    def hash_and_json(self) -> Tuple[str, str]:
+        """``(config_hash(), to_json())`` from one encode of the config.
+
+        For callers that store the text under the hash (the fabric's
+        queue rows).  Only the hash is memoized: keeping each config's
+        ~1 KB text alive costs more memory than re-encoding it costs
+        time.
+        """
+        text = self.to_json()
+        cached = getattr(self, "_config_hash", None)
+        if cached is None:
+            cached = hashlib.sha256(text.encode()).hexdigest()[:20]
+            object.__setattr__(self, "_config_hash", cached)
+        return cached, text
 
     def scenario_hash(self) -> str:
         """Digest of the *scenario*: the config with ``solver`` removed.

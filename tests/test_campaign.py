@@ -446,6 +446,18 @@ class TestDistributedQueueDir:
         assert not Path(queue_dir).exists()
         assert not list(tmp_path.glob("repro-queue-*"))
 
+    def test_adhoc_queue_dir_is_removed_when_the_queue_will_not_open(
+            self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.campaign.fabric import QueueError
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv("REPRO_FABRIC_LEASE_S", "nan")
+        with pytest.raises(QueueError, match="REPRO_FABRIC_LEASE_S"):
+            CampaignRunner(backend="distributed").run(
+                [ExperimentConfig(**SHORT)])
+        assert not list(tmp_path.glob("repro-queue-*"))
+
     def test_cache_dir_queue_is_kept_for_resume(self, tmp_path):
         runner = CampaignRunner(backend="distributed",
                                 cache_dir=str(tmp_path / "cache"))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import ResultStore
 from repro.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -537,6 +538,38 @@ class TestFabricCommands:
             assert main(argv) == 2
             assert "not a campaign queue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, value", [
+        ("lease_timeout_s", float("inf")), ("lease_timeout_s", -5.0),
+        ("retries", -1.0), ("retries", 2.5), ("backoff_s", float("inf")),
+    ])
+    def test_invalid_journal_policy_is_exit_2(self, capsys, tmp_path,
+                                              setting, value):
+        queue, _ = self._seed_queue(tmp_path)
+        queue._conn.execute("UPDATE settings SET value = ? WHERE key = ?",
+                            (value, setting))
+        queue._conn.commit()
+        queue.close()
+        queue_dir = str(tmp_path / "queue")
+        for argv in (["worker", "--queue", queue_dir],
+                     ["queue", "status", "--queue", queue_dir],
+                     ["queue", "drain", "--queue", queue_dir]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{setting} must be" \
+                in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-5", "abc"])
+    def test_distributed_run_with_bad_lease_env_is_exit_2(
+            self, capsys, tmp_path, monkeypatch, text):
+        # nan ended in a "not a campaign queue" traceback; inf and -5
+        # were stored as policy, abc silently became 30.
+        monkeypatch.setenv("REPRO_FABRIC_LEASE_S", text)
+        assert main(["campaign", "smoke", "--backend", "distributed",
+                     "--warmup", "0.2", "--measure", "0.2",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: REPRO_FABRIC_LEASE_S must be a finite number >= 0")
+
     # -- the worker loop ---------------------------------------------
     def test_worker_drains_a_queue(self, capsys, tmp_path):
         queue, configs = self._seed_queue(tmp_path)
@@ -606,6 +639,46 @@ class TestBadPhases:
             main(["fig7", "--warmup", "nan"])
         assert exit_info.value.code == 2
         assert "warmup_s" in capsys.readouterr().err
+
+
+class TestAblationAndScalingPhases:
+    """``ablation`` and ``scaling`` take ``--warmup``/``--measure`` like
+    every other sweep command; both used to reject them."""
+
+    def _stored_phases(self, cache_dir):
+        store = ResultStore(Path(cache_dir) / "results.sqlite")
+        try:
+            return {(run.config["warmup_s"], run.config["measure_s"])
+                    for run in store.runs()}
+        finally:
+            store.close()
+
+    def test_ablation_runs_the_given_phases(self, capsys, tmp_path):
+        assert main(["ablation", "strategy", "--warmup", "0.5",
+                     "--measure", "0.5", "--cache-dir",
+                     str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Ablation: strategy" in out and "recreation" in out
+        assert self._stored_phases(tmp_path) == {(0.5, 0.5)}
+
+    def test_scaling_runs_the_given_phases(self, capsys, tmp_path):
+        assert main(["scaling", "--cores", "2", "--warmup", "0.5",
+                     "--measure", "0.5", "--cache-dir",
+                     str(tmp_path)]) == 0
+        assert "2 cores:" in capsys.readouterr().out
+        assert self._stored_phases(tmp_path) == {(0.5, 0.5)}
+
+    @pytest.mark.parametrize("argv", [
+        ["ablation", "strategy", "--warmup", "nan"],
+        ["scaling", "--cores", "2", "--warmup", "nan"],
+    ])
+    def test_bad_phase_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: warmup_s must be finite") \
+            and "Traceback" not in err
 
 
 class TestBadWorkers:

@@ -12,6 +12,8 @@ that batched enqueue stays idempotent under resubmission with
 interleaved torn rows.  ``TestLeaseTransaction`` pins the lease's one
 write transaction and its index-served queries: concurrent leases take
 distinct groups, and no worker comes back empty while work is pending.
+``TestQueuePolicy`` pins the checks on lease timeout, retries and
+backoff.
 
 The per-row enqueue reference exists only here
 (:func:`enqueue_per_row`); the store's per-row merge is the
@@ -21,7 +23,9 @@ cross-schema fallback ``ResultStore._merge_rows``, called directly.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
+import random
 import sqlite3
 import threading
 import time
@@ -34,7 +38,7 @@ from repro.campaign import fabric, sweep
 from repro.campaign.backends import (ExecutionBackend, backend_registry,
                                      lockstep_group_key)
 from repro.campaign.fabric import (CampaignQueue, Coordinator,
-                                   _parse_config, run_worker)
+                                   QueueError, _parse_config, run_worker)
 from repro.campaign.store import ResultStore
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.report import RunReport
@@ -55,6 +59,16 @@ def _configs(n: int = 6):
     base = ExperimentConfig(warmup_s=0.5, measure_s=1.0)
     return sweep(base, threshold_c=tuple(2.0 + 0.5 * i
                                          for i in range(n)))
+
+
+def _interleaved(seed: int = 7):
+    """18 configs in 6 lockstep groups (package x cores), shuffled so
+    the groups interleave."""
+    base = ExperimentConfig(warmup_s=0.5, measure_s=1.0)
+    configs = sweep(base, package=("mobile", "highperf"),
+                    n_cores=(2, 3, 4), seed=(1, 2, 3))
+    random.Random(seed).shuffle(configs)
+    return configs
 
 
 #: Journal columns that define a queue's logical image (rowid keeps
@@ -254,6 +268,42 @@ class TestBatchedEnqueue:
                                now=200.0) == 4         # 3 new + 1 repair
         assert enqueue_per_row(loop, configs, campaign="fleet",
                                now=200.0) == 4
+        assert journal_image(batched) == journal_image(loop)
+        for queue in queues:
+            assert queue.counts()["torn"] == 0
+            queue.close()
+
+    def test_interleaved_groups_fresh_images_match(self, tmp_path):
+        configs = _interleaved()
+        batched = CampaignQueue(tmp_path / "batched")
+        loop = CampaignQueue(tmp_path / "loop")
+        assert batched.enqueue(configs, campaign="fleet", now=100.0) \
+            == enqueue_per_row(loop, configs, campaign="fleet",
+                               now=100.0) == len(configs)
+        assert journal_image(batched) == journal_image(loop)
+        for queue in (batched, loop):
+            queue.close()
+
+    def test_interleaved_groups_resubmission_images_match(self,
+                                                         tmp_path):
+        configs = _interleaved()
+        first = configs[::2]
+        queues = [CampaignQueue(tmp_path / name)
+                  for name in ("batched", "loop")]
+        for queue in queues:
+            queue.enqueue(first, campaign="fleet", now=100.0)
+            # Interleave: lease one group, tear a row of another.
+            leased = {task.config_hash for task in queue.lease(
+                "w0", now=100.0)}
+            survivor = next(config for config in first
+                            if config.config_hash() not in leased)
+            self._tear(queue, survivor.config_hash())
+        batched, loop = queues
+        expected = len(configs) - len(first) + 1   # new + 1 repair
+        assert batched.enqueue(configs, campaign="fleet",
+                               now=200.0) == expected
+        assert enqueue_per_row(loop, configs, campaign="fleet",
+                               now=200.0) == expected
         assert journal_image(batched) == journal_image(loop)
         for queue in queues:
             assert queue.counts()["torn"] == 0
@@ -645,6 +695,69 @@ class TestLeaseTransaction:
         merged.close()
         coordinator.close()
         assert wasted.value == 0
+
+
+# ----------------------------------------------------------------------
+# queue policy: lease timeout, retries and backoff are validated
+# ----------------------------------------------------------------------
+class TestQueuePolicy:
+    @pytest.mark.parametrize("setting, value", [
+        ("lease_timeout_s", math.nan), ("lease_timeout_s", math.inf),
+        ("lease_timeout_s", -5.0), ("backoff_s", math.nan),
+        ("backoff_s", math.inf), ("backoff_s", -0.5),
+        ("retries", -3), ("retries", 2.5), ("retries", math.inf),
+        ("retries", True),
+    ])
+    def test_bad_argument_is_refused_and_not_stored(self, tmp_path,
+                                                    setting, value):
+        with pytest.raises(QueueError, match=f"^{setting} must be"):
+            CampaignQueue(tmp_path, **{setting: value})
+        # Nothing was journaled: a reopen reads the defaults.
+        with CampaignQueue(tmp_path) as queue:
+            assert (queue.lease_timeout_s, queue.retries,
+                    queue.backoff_s) == (fabric.DEFAULT_LEASE_TIMEOUT_S,
+                                         fabric.DEFAULT_RETRIES,
+                                         fabric.DEFAULT_BACKOFF_S)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-5", "abc", "1e999"])
+    def test_bad_environment_lease_is_refused(self, tmp_path,
+                                              monkeypatch, text):
+        # nan failed as "not a campaign queue (NOT NULL constraint
+        # failed)", inf and -5 were stored, abc became 30.
+        monkeypatch.setenv("REPRO_FABRIC_LEASE_S", text)
+        with pytest.raises(QueueError,
+                           match="^REPRO_FABRIC_LEASE_S must be a finite"):
+            CampaignQueue(tmp_path)
+
+    def test_environment_only_seeds_a_new_queue(self, tmp_path,
+                                                monkeypatch):
+        CampaignQueue(tmp_path, lease_timeout_s=7.0).close()
+        monkeypatch.setenv("REPRO_FABRIC_LEASE_S", "abc")
+        with CampaignQueue(tmp_path) as queue:   # stored policy wins
+            assert queue.lease_timeout_s == 7.0
+
+    @pytest.mark.parametrize("setting, value", [
+        ("lease_timeout_s", math.inf), ("lease_timeout_s", -5.0),
+        ("backoff_s", math.inf), ("retries", -1.0), ("retries", 2.5),
+        ("retries", "two"),
+    ])
+    def test_bad_journal_value_is_refused(self, tmp_path, setting,
+                                          value):
+        CampaignQueue(tmp_path).close()
+        with sqlite3.connect(str(tmp_path / "queue.sqlite")) as conn:
+            conn.execute("UPDATE settings SET value = ? WHERE key = ?",
+                         (value, setting))
+        with pytest.raises(QueueError, match=f"'s {setting} must be"):
+            CampaignQueue(tmp_path)
+
+    def test_zero_stays_valid(self, tmp_path):
+        with CampaignQueue(tmp_path, lease_timeout_s=0.0, retries=0,
+                           backoff_s=0.0) as queue:
+            assert (queue.lease_timeout_s, queue.retries,
+                    queue.backoff_s) == (0.0, 0, 0.0)
+        with CampaignQueue(tmp_path) as queue:
+            assert (queue.lease_timeout_s, queue.retries,
+                    queue.backoff_s) == (0.0, 0, 0.0)
 
 
 # ----------------------------------------------------------------------
