@@ -1,8 +1,9 @@
 """Campaign engine floors: parallel and lockstep sweeps vs serial.
 
 Runs the same 8-run threshold sweep through ``CampaignRunner`` with 1
-worker and with ``N`` workers (fresh runner per call, so every run
-simulates from scratch) and prints the wall clocks.  The speedup
+worker and with ``N`` workers, once each for the module (fresh runner
+per call, so every run simulates from scratch), and prints the wall
+clocks.  The speedup
 assertion is deliberately loose — on a single-core box (CI
 containers) the parallel path can only track its own pool overhead,
 and even multi-core runs pay real start-up costs — but a parallel
@@ -15,6 +16,9 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from dataclasses import dataclass
+
+import pytest
 
 from repro.campaign import CampaignRunner, expand_campaign, sweep
 from repro.experiments.config import ExperimentConfig
@@ -37,34 +41,56 @@ def _run_sweep(workers: int):
         _CONFIGS, name=f"throughput-w{workers}")
 
 
-def test_campaign_serial():
-    result = _run_sweep(1)
-    assert len(result.runs) == len(_CONFIGS)
-    assert result.n_cached == 0
+@dataclass
+class _SweepPair:
+    serial: object
+    parallel: object
+    t_serial: float
+    t_parallel: float
+    #: ``cache_stats()`` right after the serial sweep.
+    serial_stats: object
 
 
-def test_campaign_parallel():
-    result = _run_sweep(_PARALLEL_WORKERS)
-    assert len(result.runs) == len(_CONFIGS)
-    assert result.n_cached == 0
+@pytest.fixture(scope="module")
+def sweep_pair() -> _SweepPair:
+    """The sweep once per worker count, shared by the three tests below.
 
-
-def test_parallel_speedup_over_serial():
-    """Direct wall-clock comparison of the two worker counts."""
+    Clears the artifact cache, times the serial sweep, reads its cache
+    statistics, then times the parallel sweep.
+    """
     from repro.thermal.cache import cache_stats, clear_artifact_cache
     clear_artifact_cache()
     t0 = time.perf_counter()
     serial = _run_sweep(1)
     t_serial = time.perf_counter() - t0
-    # 8 runs over one thermal network: the serial (in-process) sweep
-    # must compute that network's matrix exponential exactly once.
     stats = cache_stats()
-    emit(f"serial sweep artifact reuse: {stats.to_text()}")
-    assert stats.misses == 1
-
     t0 = time.perf_counter()
     parallel = _run_sweep(_PARALLEL_WORKERS)
     t_parallel = time.perf_counter() - t0
+    return _SweepPair(serial, parallel, t_serial, t_parallel, stats)
+
+
+def test_campaign_serial(sweep_pair):
+    result = sweep_pair.serial
+    assert len(result.runs) == len(_CONFIGS)
+    assert result.n_cached == 0
+
+
+def test_campaign_parallel(sweep_pair):
+    result = sweep_pair.parallel
+    assert len(result.runs) == len(_CONFIGS)
+    assert result.n_cached == 0
+
+
+def test_parallel_speedup_over_serial(sweep_pair):
+    """Direct wall-clock comparison of the two worker counts."""
+    serial, parallel = sweep_pair.serial, sweep_pair.parallel
+    t_serial, t_parallel = sweep_pair.t_serial, sweep_pair.t_parallel
+    # 8 runs over one thermal network: the serial (in-process) sweep
+    # must compute that network's matrix exponential exactly once.
+    stats = sweep_pair.serial_stats
+    emit(f"serial sweep artifact reuse: {stats.to_text()}")
+    assert stats.misses == 1
 
     speedup = t_serial / t_parallel
     emit(f"campaign throughput: {len(_CONFIGS)} runs, serial "

@@ -138,12 +138,40 @@ def _policy_value(key: str, value, source: str) -> float:
     return number
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
+def _kill_after() -> int:
+    """``REPRO_FABRIC_KILL_AFTER`` checked: unset, empty or ``0`` is
+    off (0); anything else must be a whole number >= 1, or a
+    :class:`QueueError` names the variable.  A mistyped fault that
+    silently injected nothing would pass a fault-injection job."""
+    value = os.environ.get("REPRO_FABRIC_KILL_AFTER", "")
+    if not value:
+        return 0
     try:
-        return int(value) if value else default
+        number = int(value)
     except ValueError:
-        return default
+        number = -1
+    if number < 0:
+        raise QueueError(f"REPRO_FABRIC_KILL_AFTER must be a whole "
+                         f"number >= 1 (0 or unset: off), got {value!r}")
+    return number
+
+
+#: Longest idle poll accepted, in seconds (a day): ``time.sleep``
+#: refuses NaN and negative lengths, and huge ones by platform limits.
+MAX_POLL_S = 86400.0
+
+
+def check_poll_interval(poll_s) -> float:
+    """An idle poll interval checked: a number of seconds in
+    ``(0, MAX_POLL_S]``, else a :class:`ValueError` that names it."""
+    try:
+        number = float(poll_s)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(poll_s, bool) or not 0 < number <= MAX_POLL_S:
+        raise ValueError(f"poll interval must be a number of seconds "
+                         f"> 0 and <= {MAX_POLL_S:g}, got {poll_s!r}")
+    return number
 
 
 class QueueError(RuntimeError):
@@ -723,14 +751,26 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
     stage: ``leased`` with every leased task, then ``computed``,
     ``stored`` and ``done`` with the tasks whose runs succeeded.
     Raising from it simulates a crash at that point.
+
+    ``poll_s`` must pass :func:`check_poll_interval` and
+    ``max_batches`` be ``None`` or a whole number >= 1
+    (:class:`ValueError` otherwise); a bad ``REPRO_FABRIC_KILL_AFTER``
+    raises :class:`QueueError`.  All three are checked before the
+    queue is opened.
     """
     from repro.campaign.backends import make_backend
     from repro.experiments.config import ExperimentConfig
 
+    poll_s = check_poll_interval(poll_s)
+    if max_batches is not None and (isinstance(max_batches, bool)
+                                    or not isinstance(max_batches, int)
+                                    or max_batches < 1):
+        raise ValueError(f"max_batches must be None or a whole number "
+                         f">= 1, got {max_batches!r}")
+    kill_after = _kill_after()
     worker_id = worker_id or f"w{os.getpid()}"
     queue = CampaignQueue(queue_dir)
     store = ResultStore(worker_store_path(queue_dir, worker_id))
-    kill_after = _env_int("REPRO_FABRIC_KILL_AFTER", 0)
     engine = make_backend(backend)
     hook = fault_hook or (lambda stage, tasks: None)
     completed = stored = batches = 0
@@ -836,6 +876,7 @@ class Coordinator:
                  retries: Optional[int] = None,
                  worker_backend: str = "serial",
                  poll_s: float = 0.05):
+        poll_s = check_poll_interval(poll_s)
         self.queue_dir = Path(queue_dir)
         self.queue = CampaignQueue(queue_dir,
                                    lease_timeout_s=lease_timeout_s,
@@ -873,6 +914,8 @@ class Coordinator:
         :func:`collect_reports` raise) for permanent failures.
         """
         workers = max(1, int(workers))
+        # Every worker would refuse a bad fault setting after its fork.
+        _kill_after()
         procs = [self.spawn_worker() for _ in range(workers)]
         respawns = 0
         try:

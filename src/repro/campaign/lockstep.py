@@ -29,6 +29,7 @@ per-event stepping; the batch shrinks, correctness is untouched.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
@@ -147,8 +148,18 @@ def _advance_lockstep(suts: Sequence[SystemUnderTest],
 def _step_to_event(sim, event) -> bool:
     """Execute events until ``event`` is at the queue head.
 
+    Every event strictly before ``event`` runs in one
+    :meth:`~repro.sim.kernel.Simulator.run_until` to the float just
+    below its timestamp; events tied with it but sequenced before it
+    are then stepped one by one.  A simulator runs its own events in
+    the same order however the driver pauses it, and the clock that
+    ``run_until`` leaves behind is reset before anything reads it
+    (:func:`_fire_epoch`, :meth:`Simulator.step`, the mop-up).
+
     Returns False if ``event`` can no longer fire (cancelled or gone).
     """
+    if not event.cancelled and event.time > sim.now:
+        sim.run_until(math.nextafter(event.time, -math.inf))
     while True:
         if event.cancelled:
             return False

@@ -81,12 +81,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.campaign import CampaignRunner, QueueError, ResultStore, \
     backend_registry, campaign_registry, expand_campaign, sweep
 from repro.campaign import golden as golden_mod
 from repro.campaign.engine import STORE_FILENAME
+from repro.campaign.fabric import check_poll_interval
 from repro.campaign.store import StoreError
 from repro.experiments import ablation as ablation_mod
 from repro.experiments.config import THRESHOLD_SWEEP_C, ExperimentConfig
@@ -152,16 +153,30 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _workers(text: str) -> int:
-    """Parse ``--workers``: a process count of at least 1."""
+def _at_least_one(name: str) -> Callable[[str], int]:
+    """An argparse type for a count of at least 1, named ``name``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 1")
+        return value
+    return parse
+
+
+#: Parse ``--workers``: a process count of at least 1.
+_workers = _at_least_one("workers")
+
+
+def _poll(text: str) -> float:
+    """Parse ``repro worker --poll``: an interval ``run_worker`` accepts."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1")
-    return value
+        return check_poll_interval(text)
+    except ValueError as error:     # "x", nan, inf, 0, -1, 1e300
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _add_phase_options(p: argparse.ArgumentParser) -> None:
@@ -342,9 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="in-process backend for leased batches "
                         "(default serial; vectorized advances a whole "
                         "lease per sensor epoch)")
-    p.add_argument("--poll", type=float, default=0.1, metavar="S",
+    p.add_argument("--poll", type=_poll, default=0.1, metavar="S",
                    help="idle poll interval in seconds (default 0.1)")
-    p.add_argument("--max-batches", type=int, default=None, metavar="N",
+    p.add_argument("--max-batches", type=_at_least_one("max-batches"),
+                   default=None, metavar="N",
                    help="stop after N leased batches (default: run "
                         "until the queue is finished)")
 

@@ -44,6 +44,7 @@ engine (``tests/slice_oracle.py``).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
@@ -134,6 +135,10 @@ class CoreScheduler:
         self._co_started = 0.0
         self._co_f_hz = 0.0
         self._co_slices = 0
+        # A solo window's ``(remaining, total)`` cycles after its
+        # last-but-one boundary and its last slice's planned cycles;
+        # None for a rotation's window.
+        self._co_plan: Optional[tuple] = None
 
         self.context_switches = 0
         self.slices_run = 0
@@ -307,8 +312,9 @@ class CoreScheduler:
     def _begin_slice(self) -> None:
         task = self.current
         assert task is not None and task.phase is TaskPhase.COMPUTE
+        run_q = self.run_q
         if not self.gated and not task.migration_pending \
-                and not any(t.migration_pending for t in self.run_q) \
+                and not (run_q and any(t.migration_pending for t in run_q)) \
                 and self._begin_coalesced(task):
             return
         self._begin_single_slice()
@@ -344,78 +350,146 @@ class CoreScheduler:
         two slices fall back to the legacy engine, which reproduces
         the event/seq tie-ordering at the horizon boundary by
         construction.
+
+        ``planned = min(quantum, max(remaining, 0.0))`` is spelled as a
+        branch: a full quantum when ``not (remaining < quantum)`` (NaN
+        included, as ``min`` does), else ``max(remaining, 0.0)``; the
+        full-quantum step ``quantum / f`` is the same division hoisted.
+        A solo window's plan doubles as its replay: it records the
+        task's cycle counts after the last-but-one boundary and the
+        last slice's planned cycles, which :meth:`_end_coalesced`
+        assigns instead of re-running the loop.
         """
         f = self.frequency_hz
         horizon = self.sim.peek_time_excluding(
             category=HORIZON_TRANSPARENT_CATEGORIES)
+        if horizon is None:
+            horizon = math.inf
         quantum_cycles = self.quantum_s * f
-        rotation = [task.remaining_cycles]
-        rotation.extend(t.remaining_cycles for t in self.run_q)
+        step = quantum_cycles / f
         end = self.sim.now
         n_slices = 0
-        i = 0
-        while True:
-            planned = min(quantum_cycles, max(rotation[i], 0.0))
-            t_next = end + planned / f
-            if horizon is not None and not (t_next < horizon):
-                break
-            n_slices += 1
-            end = t_next
-            rotation[i] -= planned
-            if rotation[i] <= CYCLE_EPS:
-                break              # completion boundary inside window
-            if len(rotation) > 1:  # quantum expired: round-robin
-                i = (i + 1) % len(rotation)
+        if not self.run_q:
+            remaining = task.remaining_cycles
+            total = task.total_cycles
+            plan = None
+            while True:
+                if remaining < quantum_cycles:
+                    planned = max(remaining, 0.0)
+                    t_next = end + planned / f
+                else:
+                    planned = quantum_cycles
+                    t_next = end + step
+                if not (t_next < horizon):
+                    break
+                n_slices += 1
+                end = t_next
+                plan = (remaining, total, planned)
+                remaining -= planned
+                total += planned
+                if remaining <= CYCLE_EPS:
+                    break          # completion boundary inside window
+        else:
+            rotation = [task.remaining_cycles]
+            rotation.extend(t.remaining_cycles for t in self.run_q)
+            size = len(rotation)
+            plan = None
+            i = 0
+            while True:
+                remaining = rotation[i]
+                if remaining < quantum_cycles:
+                    planned = max(remaining, 0.0)
+                    t_next = end + planned / f
+                else:
+                    planned = quantum_cycles
+                    t_next = end + step
+                if not (t_next < horizon):
+                    break
+                n_slices += 1
+                end = t_next
+                remaining -= planned
+                if remaining <= CYCLE_EPS:
+                    break          # completion boundary inside window
+                rotation[i] = remaining
+                i = (i + 1) % size  # quantum expired: round-robin
         if n_slices < 2:
             return False
         self._co_started = self.sim.now
         self._co_f_hz = f
         self._co_slices = n_slices
+        self._co_plan = plan
         self.chip.set_tile_active(self.tile_index, True)
         self._co_event = self.sim.schedule_at(end, self._end_coalesced)
         self._co_event.category = SLICE_EVENT_CATEGORY
         self.slices_run += 1       # slice 1 of the window began
         return True
 
-    def _co_advance(self) -> None:
-        """Replay one virtual quantum boundary.
+    def _replay(self, now: float, tie_fired: bool):
+        """Land the open window's virtual boundaries up to ``now``.
 
-        The identical operation sequence the legacy ``_end_slice`` /
+        Replays at most ``_co_slices - 1`` boundaries, each the
+        identical operation sequence the legacy ``_end_slice`` /
         ``_maybe_dispatch`` pair performs at a non-completing boundary:
         account the running task's slice (``planned`` recomputed from
         the *current* remaining cycles before the subtraction — float
         subtraction is not associative, so no closed form), then the
-        round-robin hand-off when competitors wait.
+        round-robin hand-off when competitors wait.  A boundary at
+        ``now`` is replayed only when ``tie_fired``.  Returns ``(start,
+        planned, end)`` of the slice left in flight and closes the
+        window's bookkeeping.
         """
+        f = self._co_f_hz
+        quantum_cycles = self.quantum_s * f
+        step = quantum_cycles / f
+        limit = self._co_slices - 1
+        self._co_slices = 0
+        self._co_plan = None
+        run_q = self.run_q
         task = self.current
-        assert task is not None
-        planned = min(self.quantum_s * self._co_f_hz,
-                      max(task.remaining_cycles, 0.0))
-        task.remaining_cycles -= planned
-        task.total_cycles += planned
-        if self.run_q:
-            task.state = TaskState.READY
-            self.run_q.append(task)
-            nxt = self.run_q.popleft()
-            nxt.state = TaskState.RUNNING
-            self.current = nxt
-            self.context_switches += 1
-        self.slices_run += 1       # the next slice began here
-        self.slices_coalesced += 1
+        start = self._co_started
+        replayed = 0
+        while True:
+            remaining = task.remaining_cycles
+            if remaining < quantum_cycles:
+                planned = max(remaining, 0.0)
+                end = start + planned / f
+            else:
+                planned = quantum_cycles
+                end = start + step
+            if replayed >= limit or end > now \
+                    or (end == now and not tie_fired):
+                break              # the slice containing ``now``
+            task.remaining_cycles = remaining - planned
+            task.total_cycles += planned
+            if run_q:
+                task.state = TaskState.READY
+                run_q.append(task)
+                task = run_q.popleft()
+                task.state = TaskState.RUNNING
+            start = end
+            replayed += 1
+        self.current = task
+        if run_q:
+            self.context_switches += replayed
+        self.slices_run += replayed    # each boundary began a slice
+        self.slices_coalesced += replayed
+        return start, planned, end
 
     def _end_coalesced(self) -> None:
         """Apply a completed window: replay every covered quantum.
 
         Boundaries ``1 .. m-1`` each ended one slice and began the
-        next (:meth:`_co_advance`); slice ``m`` is rematerialized as
-        the legacy in-flight slice and finished by ``_end_slice``,
-        which owns the completion / round-robin / continue logic and
-        whose ``_begin_slice`` call opens the next window.
+        next (a solo window assigns its plan's cycle counts, a
+        rotation replays them with :meth:`_replay`); slice ``m`` is
+        rematerialized as the legacy in-flight slice and finished by
+        ``_end_slice``, which owns the completion / round-robin /
+        continue logic and whose ``_begin_slice`` call opens the next
+        window.
         """
         assert self.current is not None
         self._co_event = None
-        boundaries = self._co_slices - 1
         now = self.sim.now
+        f = self._co_f_hz
         if self.sim.peek_time() == now:
             # A pending event ties at the window end — a transparent
             # periodic tick, rescheduled a full period (>> quantum)
@@ -424,53 +498,32 @@ class CoreScheduler:
             # quantum ago.  It must fire before the final slice does:
             # rematerialize that slice as a fresh kernel event (fresh
             # seq = after every tied event) instead of finishing
-            # inline, tracking the boundary times so the in-flight
-            # ``_slice_started`` is bitwise the legacy slice start.
-            f = self._co_f_hz
-            quantum_cycles = self.quantum_s * f
-            start = self._co_started
-            for _ in range(boundaries):
-                planned = min(quantum_cycles,
-                              max(self.current.remaining_cycles, 0.0))
-                start = start + planned / f
-                self._co_advance()
-            self._co_slices = 0
-            task = self.current
+            # inline, with the in-flight ``_slice_started`` bitwise the
+            # legacy slice start.
+            start, planned, _ = self._replay(math.inf, True)
             self._slice_started = start
             self._slice_f_hz = f
-            self._slice_planned_cycles = min(
-                quantum_cycles, max(task.remaining_cycles, 0.0))
+            self._slice_planned_cycles = planned
             self.slices_coalesced += 1
             self._slice_event = self.sim.schedule_at(now, self._end_slice)
             self._slice_event.category = SLICE_EVENT_CATEGORY
             return
-        if not self.run_q:
-            # Solo fast path: no hand-offs, so the replay is a pure
-            # accounting loop — local floats, counters added in bulk
-            # (the exact same operation sequence, nothing observes the
-            # intermediate states).
+        plan = self._co_plan
+        if plan is not None:
+            # Solo window: no hand-offs, and the plan already ran the
+            # accounting loop; nothing observes the intermediate states.
+            boundaries = self._co_slices - 1
+            self._co_slices = 0
+            self._co_plan = None
             task = self.current
-            quantum_cycles = self.quantum_s * self._co_f_hz
-            remaining = task.remaining_cycles
-            total = task.total_cycles
-            for _ in range(boundaries):
-                planned = min(quantum_cycles, max(remaining, 0.0))
-                remaining -= planned
-                total += planned
-            task.remaining_cycles = remaining
-            task.total_cycles = total
+            task.remaining_cycles, task.total_cycles, planned = plan
             self.slices_run += boundaries
             self.slices_coalesced += boundaries
         else:
-            for _ in range(boundaries):
-                self._co_advance()
-        self._co_slices = 0
-        task = self.current
-        f = self._co_f_hz
+            _, planned, _ = self._replay(math.inf, True)
         self._slice_started = now            # unused by _end_slice
         self._slice_f_hz = f
-        self._slice_planned_cycles = min(self.quantum_s * f,
-                                         max(task.remaining_cycles, 0.0))
+        self._slice_planned_cycles = planned
         self.slices_coalesced += 1
         self._end_slice()
 
@@ -499,30 +552,15 @@ class CoreScheduler:
         assert self.current is not None
         self._co_event.cancel()
         self._co_event = None
-        now = self.sim.now
-        f = self._co_f_hz
-        quantum_cycles = self.quantum_s * f
         interrupter = self.sim.current_event
         tie_fired = interrupter is None \
             or interrupter.category == SLICE_EVENT_CATEGORY
-        start = self._co_started
-        replayed = 0
-        while True:
-            task = self.current
-            assert task is not None
-            planned = min(quantum_cycles, max(task.remaining_cycles, 0.0))
-            t_end = start + planned / f
-            if t_end > now or (t_end == now and not tie_fired) \
-                    or replayed >= self._co_slices - 1:
-                break              # the slice containing ``now``
-            self._co_advance()
-            start = t_end
-            replayed += 1
-        self._co_slices = 0
+        f = self._co_f_hz
+        start, planned, end = self._replay(self.sim.now, tie_fired)
         self._slice_started = start
         self._slice_f_hz = f
         self._slice_planned_cycles = planned
-        self._slice_event = self.sim.schedule_at(t_end, self._end_slice)
+        self._slice_event = self.sim.schedule_at(end, self._end_slice)
         self._slice_event.category = SLICE_EVENT_CATEGORY
 
     def _end_slice(self) -> None:

@@ -127,6 +127,9 @@ class Chip:
         self._tile_states: List[Dict[tuple, Tuple]] = [{} for _ in self.tiles]
         self._dyn_w = np.zeros(n, dtype=float)
         self._leak_scale = np.ones(n, dtype=float)
+        # The bus activity the shared blocks' dynamic power was last
+        # evaluated at (their only input that changes during a run).
+        self._shared_activity = None
         self._refresh_leakage()
         for tile_index in range(len(self.tiles)):
             self._apply_tile_state(tile_index)
@@ -244,10 +247,14 @@ class Chip:
         """Switch a tile's blocks to the cached vectors of its state."""
         tile = self.tiles[tile_index]
         states = self._tile_states[tile_index]
-        key = (tile.opp, tile.active, tile.gated)
-        if key not in states:
-            states[key] = self._tile_state_power(tile)
-        dyn, scale = states[key]
+        # The operating point by value: its fields are all the state
+        # power reads, and a float tuple hashes without a Python call.
+        opp = tile.opp
+        key = (opp.frequency_hz, opp.voltage, tile.active, tile.gated)
+        state = states.get(key)
+        if state is None:
+            state = states[key] = self._tile_state_power(tile)
+        dyn, scale = state
         span = self._tile_slices[tile_index]
         self._dyn_w[span] = dyn
         self._leak_scale[span] = scale
@@ -277,14 +284,17 @@ class Chip:
         """
         exponent = self._leak_alpha * (self.temps_c - self._leak_t_ref)
         self._leak_w = self._leak_ref * np.array(
-            [math.exp(x) for x in exponent.tolist()])
+            list(map(math.exp, exponent.tolist())))
         # Shared memory: busy with queue traffic plus migrations,
-        # clocked at f_ref; its bus activity is sampled here.
+        # clocked at f_ref; its bus activity is sampled here, and its
+        # dynamic power re-evaluated only when the activity changed.
         activity = min(1.0, self.bus.background_load
                        + (0.5 if self.bus.busy else 0.0))
-        first = self.n_blocks - len(self.shared_blocks)
-        for idx, block in enumerate(self.shared_blocks, first):
-            model = block.power_model
-            self._dyn_w[idx] = model.dynamic_power(
-                model.params.f_ref_hz, model.params.v_ref, activity)
+        if activity != self._shared_activity:
+            self._shared_activity = activity
+            first = self.n_blocks - len(self.shared_blocks)
+            for idx, block in enumerate(self.shared_blocks, first):
+                model = block.power_model
+                self._dyn_w[idx] = model.dynamic_power(
+                    model.params.f_ref_hz, model.params.v_ref, activity)
         self._power_w = self._dyn_w + self._leak_w * self._leak_scale

@@ -18,6 +18,17 @@ import numpy as np
 from repro.mpos.system import MPOS
 
 
+def mean_of(values) -> float:
+    """``float(np.mean(values))`` of float64 values, without its wrapper.
+
+    ``np.mean`` of a float64 vector is ``np.add.reduce`` (the same
+    pairwise summation) followed by a true division by the count, so
+    this is bitwise the same number.  Python's ``sum`` is not: it adds
+    left to right, which matches only below eight elements.
+    """
+    return float(np.add.reduce(values)) / len(values)
+
+
 @dataclass
 class PolicyDecision:
     """One actuation taken by a policy (for traces and tests)."""
@@ -97,8 +108,8 @@ class ThermalPolicy(abc.ABC):
 
     def band(self, core_temps: np.ndarray):
         """``(mean, lower, upper)`` — the allowed temperature band."""
-        mean = float(np.mean(core_temps))
-        return mean, mean - self.threshold_c, mean + self.threshold_c
+        mean_c = mean_of(core_temps)
+        return mean_c, mean_c - self.threshold_c, mean_c + self.threshold_c
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} theta={self.threshold_c}C>"

@@ -48,7 +48,7 @@ class PanicGuard(ThermalPolicy):
 
     def step(self, now: float, core_temps: np.ndarray) -> None:
         assert self.mpos is not None
-        for i, t in enumerate(core_temps):
+        for i, t in enumerate(core_temps.tolist()):
             if i not in self._panicked and t >= self.panic_temp_c:
                 self.mpos.gate_core(i)
                 self._panicked.add(i)

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.mpos.migration import MigrationPlan
 from repro.mpos.task import StreamTask
-from repro.policies.base import ThermalPolicy
+from repro.policies.base import ThermalPolicy, mean_of
 
 #: Tolerance when comparing the f^2 power proxies (condition 3): the
 #: paper allows equality ("no extra power"), so only a strict increase
@@ -121,10 +121,11 @@ class MigraThermalBalancer(ThermalPolicy):
     def step(self, now: float, core_temps: np.ndarray) -> None:
         assert self.mpos is not None
         mean, lower, upper = self.band(core_temps)
+        temps = core_temps.tolist()
 
         # Re-arm cores that returned inside the band (every sensor tick,
         # so no crossing is lost between daemon evaluations).
-        for i, t in enumerate(core_temps):
+        for i, t in enumerate(temps):
             if lower <= t <= upper:
                 self._armed[i] = True
 
@@ -137,9 +138,9 @@ class MigraThermalBalancer(ThermalPolicy):
 
         # Armed cores outside the band, most deviant first.
         triggers = sorted(
-            (i for i, t in enumerate(core_temps)
+            (i for i, t in enumerate(temps)
              if (t > upper or t < lower) and self._armed.get(i, True)),
-            key=lambda i: -abs(core_temps[i] - mean))
+            key=lambda i: -abs(temps[i] - mean))
         for src in triggers:
             self.triggers_fired += 1
             option = self.plan_exchange(src, core_temps)
@@ -167,10 +168,11 @@ class MigraThermalBalancer(ThermalPolicy):
         """
         assert self.mpos is not None
         temps = np.asarray(core_temps, dtype=float)
-        mean = float(temps.mean())
+        mean = mean_of(temps)
         freqs = self.mpos.governor.frequencies_hz()
-        f_mean = float(np.mean(freqs))
+        f_mean = mean_of(freqs)
         options: List[Tuple[tuple, ExchangeOption]] = []
+        loads: Dict[int, Tuple[List[StreamTask], float]] = {}
 
         for dst in range(len(temps)):
             if dst == src:
@@ -189,7 +191,7 @@ class MigraThermalBalancer(ThermalPolicy):
             if not (freqs[hot] > f_mean and freqs[cold] < f_mean):
                 continue
             for option in self._enumerate_exchanges(hot, cold, dst, temps,
-                                                    mean):
+                                                    mean, loads):
                 rank = (option.cost, option.balance_after_hz,
                         option.bytes_moved, option.n_tasks, option.dst_core)
                 options.append((rank, option))
@@ -200,15 +202,19 @@ class MigraThermalBalancer(ThermalPolicy):
         return options[0][1]
 
     def _enumerate_exchanges(self, hot: int, cold: int, target: int,
-                             temps: np.ndarray, mean: float):
-        """Yield valid exchanges between a hot and a cold core."""
+                             temps: np.ndarray, mean: float,
+                             loads: Dict[int, Tuple[List[StreamTask],
+                                                    float]]):
+        """Yield valid exchanges between a hot and a cold core.
+
+        ``loads`` memoizes :meth:`_core_load` across one
+        :meth:`plan_exchange` (no task moves while it runs).
+        """
         assert self.mpos is not None
         chip = self.mpos.chip
         f_max = chip.tile(hot).opp_table.f_max_hz
-        hot_tasks = self._top_loaded(self.mpos.tasks_on_core(hot))
-        cold_tasks = self._top_loaded(self.mpos.tasks_on_core(cold))
-        d_hot = sum(t.demand_hz for t in self.mpos.tasks_on_core(hot))
-        d_cold = sum(t.demand_hz for t in self.mpos.tasks_on_core(cold))
+        hot_tasks, d_hot = self._core_load(hot, loads)
+        cold_tasks, d_cold = self._core_load(cold, loads)
         opp_hot_before = self._opp_for(hot, d_hot)
         proxy_before = (opp_hot_before.power_proxy()
                         + self._opp_for(cold, d_cold).power_proxy())
@@ -260,6 +266,16 @@ class MigraThermalBalancer(ThermalPolicy):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _core_load(self, core: int, loads: Dict) -> Tuple[List[StreamTask],
+                                                          float]:
+        """``(top-loaded tasks, summed demand)`` of ``core``, memoized."""
+        load = loads.get(core)
+        if load is None:
+            tasks = self.mpos.tasks_on_core(core)
+            load = loads[core] = (self._top_loaded(tasks),
+                                  sum(t.demand_hz for t in tasks))
+        return load
+
     def _top_loaded(self, tasks: Sequence[StreamTask]) -> List[StreamTask]:
         """The paper's pruning: keep only the highest-load tasks."""
         ordered = sorted(tasks, key=lambda t: -t.demand_hz)

@@ -67,7 +67,7 @@ class StopAndGo(ThermalPolicy):
     def _step_threshold(self, now: float, core_temps: np.ndarray) -> None:
         mean, lower, upper = self.band(core_temps)
         gated = set(self.mpos.gated_cores())
-        for i, t in enumerate(core_temps):
+        for i, t in enumerate(core_temps.tolist()):
             if i not in gated and t > upper:
                 self._gate(now, i)
             elif i in gated and t < lower:
@@ -75,7 +75,7 @@ class StopAndGo(ThermalPolicy):
 
     def _step_timeout(self, now: float, core_temps: np.ndarray) -> None:
         gated = set(self.mpos.gated_cores())
-        for i, t in enumerate(core_temps):
+        for i, t in enumerate(core_temps.tolist()):
             if i not in gated and t > self.panic_temp_c:
                 self._gate(now, i)
                 timer = self._timers.get(i)

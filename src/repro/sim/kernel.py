@@ -250,17 +250,29 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to t={time} from now={self.now}")
         self._guard_reentrancy()
+        queue = self._queue
+        previous = self._current_event
         try:
             while not self._stopped:
                 # One heap touch per iteration: the head inspected here
                 # is the event executed, instead of peek_time()/step()
                 # each independently dropping cancelled heads.
                 self._drop_cancelled()
-                if not self._queue or self._queue[0].time > time:
+                if not queue or queue[0].time > time:
                     break
-                self._execute(heapq.heappop(self._queue))
+                # :meth:`_execute`, inline: nothing runs between two
+                # events, so restoring ``_current_event`` once on the
+                # way out is the same as after every callback.
+                event = heapq.heappop(queue)
+                self._live -= 1
+                event._sim = None
+                self.now = event.time
+                self._events_executed += 1
+                self._current_event = event
+                event.callback(*event.args)
             self.now = max(self.now, float(time))
         finally:
+            self._current_event = previous
             self._running = False
             self._stopped = False
 

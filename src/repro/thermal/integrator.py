@@ -26,7 +26,8 @@ exponential once per worker.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import math
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm, lu_factor
@@ -46,6 +47,9 @@ class ExactIntegrator:
         self.network = network
         self._lu, self._piv = lu_factor(network.conductance)
         self._propagators: Dict[float, np.ndarray] = {}
+        # The last ``(dt, propagator)`` pair: a run steps one dt.
+        self._last_step: Tuple[Optional[float], Optional[np.ndarray]] = \
+            (None, None)
         # -C^-1 K, the state matrix of dT/dt = A T + C^-1 (P + b).
         self._state_matrix = -(network.conductance
                                / network.capacitance[:, None])
@@ -58,6 +62,9 @@ class ExactIntegrator:
         matrix, so integrators over identical networks (e.g. the runs
         of one campaign sweep) compute each matrix exponential once.
         """
+        last_dt, prop = self._last_step
+        if dt == last_dt:
+            return prop
         key = round(float(dt), 12)
         prop = self._propagators.get(key)
         if prop is None:
@@ -65,13 +72,16 @@ class ExactIntegrator:
                 (self.name, self._digest, key),
                 lambda: expm(self._state_matrix * float(dt)))
             self._propagators[key] = prop
+        self._last_step = (dt, prop)
         return prop
 
     def steady_state(self, block_power: np.ndarray) -> np.ndarray:
         """Equilibrium for constant power: LAPACK ``getrs`` on the LU."""
-        # lu_solve's two checks, without its batch-dispatch overhead.
+        # lu_solve's two checks, without its batch-dispatch overhead;
+        # a scalar finiteness scan of the short vector beats the
+        # ufunc-plus-reduction pair on it.
         rhs = self.network.forcing_vector(block_power)
-        if not np.isfinite(rhs).all():
+        if not all(map(math.isfinite, rhs.tolist())):
             raise ValueError("array must not contain infs or NaNs")
         temps, info = dgetrs(self._lu, self._piv, rhs, overwrite_b=True)
         if info != 0:

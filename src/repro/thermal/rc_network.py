@@ -65,6 +65,8 @@ class RCNetwork:
             raise ValueError("ambient vector shape mismatch")
         self._index: Dict[str, int] = {
             name: i for i, name in enumerate(self.node_names)}
+        # The ambient half of ``P + b``, evaluated once per network.
+        self._ambient_forcing = self.ambient_vector * self.ambient_c
 
     # ------------------------------------------------------------------
     @property
@@ -87,9 +89,21 @@ class RCNetwork:
         return np.concatenate([np.asarray(block_power, dtype=float), [0.0]])
 
     def forcing_vector(self, block_power: np.ndarray) -> np.ndarray:
-        """``P + b`` — the constant forcing term of the ODE."""
-        return (self.full_power_vector(block_power)
-                + self.ambient_vector * self.ambient_c)
+        """``P + b`` — the constant forcing term of the ODE.
+
+        Filled in place: elementwise the same sums as
+        ``full_power_vector(block_power) + ambient_vector * ambient_c``,
+        without the concatenation or the per-call ambient product.
+        """
+        n_blocks = len(self.node_names) - 1
+        if len(block_power) != n_blocks:
+            raise ValueError(
+                f"expected {n_blocks} block powers, got {len(block_power)}")
+        rhs = np.empty(n_blocks + 1)
+        rhs[:-1] = block_power
+        rhs[-1] = 0.0
+        rhs += self._ambient_forcing
+        return rhs
 
     def forcing_matrix(self, block_power: np.ndarray) -> np.ndarray:
         """Column-stacked forcing terms for ``(n_blocks, K)`` powers.

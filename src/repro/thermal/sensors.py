@@ -81,7 +81,8 @@ class ThermalSubsystem:
         self.integrator = make_solver(self.solver_name, network)
         self.temps = network.initial_temperatures()
         self._listeners: List[TemperatureListener] = []
-        self._core_indices = chip.core_block_indices()
+        self._core_indices = np.array(chip.core_block_indices(),
+                                      dtype=np.intp)
         self._process = PeriodicProcess(sim, self.period_s, self._tick,
                                         category=SENSOR_EVENT_CATEGORY)
         self.updates = 0
@@ -105,12 +106,12 @@ class ThermalSubsystem:
 
     def core_temperatures(self) -> np.ndarray:
         """Latest per-core temperatures (tile order), with sensor noise."""
-        temps = self.temps[self._core_indices]
+        temps = self.temps[self._core_indices]     # a fresh array
         if self.noise_sigma_c > 0:
             noise = np.array([self.rng.gauss(0.0, self.noise_sigma_c)
                               for _ in temps])
             temps = temps + noise
-        return temps.copy()
+        return temps
 
     def block_temperatures(self) -> np.ndarray:
         """Latest die-block temperatures (no package node, no noise)."""
@@ -190,9 +191,10 @@ class ThermalSubsystem:
         true_temps = self.temps[self._core_indices]
         if self.trace is not None:
             record = self.trace.record
-            for key, t in zip(self._trace_keys, true_temps):
-                record(key, now, float(t))
+            for key, t in zip(self._trace_keys, true_temps.tolist()):
+                record(key, now, t)
             record("temp.package", now, self.package_temperature())
-        core_temps = self.core_temperatures()
+        core_temps = (self.core_temperatures() if self.noise_sigma_c > 0
+                      else true_temps)
         for listener in self._listeners:
             listener(now, core_temps)

@@ -570,6 +570,94 @@ class TestFabricCommands:
         assert capsys.readouterr().err.startswith(
             "error: REPRO_FABRIC_LEASE_S must be a finite number >= 0")
 
+    # -- idle poll, batch limit and fault injection -----------------
+    def _held_queue(self, tmp_path):
+        """A queue whose only pending work another worker holds, so a
+        fresh worker idles (and sleeps ``--poll``) at once."""
+        queue, _ = self._seed_queue(tmp_path)
+        assert queue.lease("other")
+        queue.close()
+        return str(tmp_path / "queue")
+
+    @pytest.mark.parametrize("argv", [
+        ["--poll", "nan"], ["--poll", "-1"], ["--poll", "inf"],
+        ["--poll", "0"], ["--poll", "1e300"], ["--poll", "abc"],
+        ["--max-batches", "0"], ["--max-batches", "-1"],
+    ])
+    def test_bad_worker_flag_exits_2(self, capsys, tmp_path, argv):
+        # --poll nan/-1 ended in a ValueError traceback the first time
+        # the worker idled and inf in an OverflowError; --max-batches
+        # 0 and -1 still ran one batch.
+        queue_dir = self._held_queue(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["worker", "--queue", queue_dir, *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[0]}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("poll_s", [float("nan"), -1.0, 0.0,
+                                        float("inf"), 1e300, "abc", True])
+    def test_library_rejects_a_bad_poll_interval(self, tmp_path, poll_s):
+        from repro.campaign import Coordinator
+        from repro.campaign.fabric import run_worker
+        queue_dir = self._held_queue(tmp_path)
+        with pytest.raises(ValueError, match="poll interval must be"):
+            run_worker(queue_dir, poll_s=poll_s)
+        with pytest.raises(ValueError, match="poll interval must be"):
+            Coordinator(queue_dir, poll_s=poll_s)
+        # Refused before the worker opened its store.
+        assert not list((tmp_path / "queue").glob("results-*"))
+
+    @pytest.mark.parametrize("max_batches", [0, -1, 1.5, True])
+    def test_library_rejects_a_bad_batch_limit(self, tmp_path,
+                                               max_batches):
+        from repro.campaign.fabric import run_worker
+        queue_dir = self._held_queue(tmp_path)
+        with pytest.raises(ValueError, match="max_batches must be"):
+            run_worker(queue_dir, max_batches=max_batches)
+
+    @pytest.mark.parametrize("text", ["1x", "-1", "nan", "1.5"])
+    def test_worker_with_bad_kill_after_is_exit_2(
+            self, capsys, tmp_path, monkeypatch, text):
+        # `_env_int` read 1x, nan and 1.5 as 0: the fault never fired.
+        queue, _ = self._seed_queue(tmp_path)
+        queue.close()
+        monkeypatch.setenv("REPRO_FABRIC_KILL_AFTER", text)
+        assert main(["worker", "--queue", str(tmp_path / "queue")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_FABRIC_KILL_AFTER must be a "
+                              "whole number >= 1")
+        assert "Traceback" not in err
+        from repro.campaign import CampaignQueue
+        with CampaignQueue(tmp_path / "queue") as queue:
+            assert queue.max_attempts() == 0     # nothing was leased
+
+    @pytest.mark.parametrize("text", ["1x", "-1", "nan", "1.5"])
+    def test_distributed_run_with_bad_kill_after_is_exit_2(
+            self, capsys, tmp_path, monkeypatch, text):
+        monkeypatch.setenv("REPRO_FABRIC_KILL_AFTER", text)
+        assert main(["campaign", "smoke", "--backend", "distributed",
+                     "--workers", "2", "--warmup", "0.2", "--measure",
+                     "0.2", "--cache-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: REPRO_FABRIC_KILL_AFTER must be a whole number >= 1")
+        from repro.campaign import CampaignQueue
+        with CampaignQueue(tmp_path / "queue") as queue:
+            assert queue.max_attempts() == 0     # no worker leased
+        assert not list((tmp_path / "queue").glob("results-*"))
+
+    @pytest.mark.parametrize("text", ["", "0"])
+    def test_kill_after_off_values_drain_normally(
+            self, capsys, tmp_path, monkeypatch, text):
+        queue, configs = self._seed_queue(tmp_path)
+        queue.close()
+        monkeypatch.setenv("REPRO_FABRIC_KILL_AFTER", text)
+        assert main(["worker", "--queue", str(tmp_path / "queue"),
+                     "--max-batches", "5"]) == 0
+        assert f"worker finished: {len(configs)} task(s) completed" \
+            in capsys.readouterr().out
+
     # -- the worker loop ---------------------------------------------
     def test_worker_drains_a_queue(self, capsys, tmp_path):
         queue, configs = self._seed_queue(tmp_path)

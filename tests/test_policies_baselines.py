@@ -1,13 +1,16 @@
 """Tests for Stop&Go, energy balancing, load balancing and the guard."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mpos.queues import MsgQueue
 from repro.mpos.system import MPOS
 from repro.mpos.task import StreamTask
 from repro.platform.presets import CONF1_STREAMING, build_chip
 from repro.policies.energy_balance import EnergyBalancing
+from repro.policies.base import mean_of
 from repro.policies.guard import PanicGuard
 from repro.policies.load_balance import LoadBalancing
 from repro.policies.stop_go import StopAndGo
@@ -226,3 +229,26 @@ class TestPolicyBase:
         policy.disable()
         policy.on_temperature_update(0.0, np.array([70.0, 61.0, 58.0]))
         assert mpos.gated_cores() == []
+
+
+class TestBandMean:
+    """``band()`` means through ``mean_of``, which must stay bitwise
+    ``float(np.mean(x))``: a numpy whose ``mean`` stops being its
+    pairwise ``add.reduce`` divided by the count fails here."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=hnp.arrays(
+        np.float64, st.integers(1, 64),
+        elements=st.floats(min_value=-1e300, max_value=1e300,
+                           allow_nan=False, allow_infinity=False)))
+    def test_equals_numpy_mean_bitwise(self, values):
+        assert mean_of(values).hex() == float(np.mean(values)).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(min_value=20.0, max_value=130.0),
+                           min_size=1, max_size=64))
+    def test_equals_numpy_mean_on_temperatures(self, values):
+        temps = np.array(values)
+        assert mean_of(temps).hex() == float(np.mean(temps)).hex()
+        assert StopAndGo(threshold_c=2.0).band(temps)[0] \
+            == float(np.mean(temps))

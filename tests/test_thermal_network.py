@@ -118,6 +118,22 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             network.full_power_vector(np.zeros(3))
 
+    def test_forcing_vector_matches_concatenated_reference(self, network):
+        # The in-place fill must stay bitwise the concatenation it
+        # replaced, for arrays, lists and strided columns alike.
+        rng = np.random.default_rng(7)
+        ambient = network.ambient_vector * network.ambient_c
+        for _ in range(50):
+            power = rng.uniform(-1.0, 5.0, (network.n_blocks, 2))
+            for given in (power[:, 0], power[:, 1].tolist(), power[:, 1]):
+                expected = network.full_power_vector(given) + ambient
+                assert network.forcing_vector(given).tobytes() \
+                    == expected.tobytes()
+        with pytest.raises(ValueError, match="block powers"):
+            network.forcing_vector(np.zeros(network.n_blocks + 1))
+        with pytest.raises(ValueError, match="block powers"):
+            network.forcing_vector([1.0])
+
 
 class TestDynamics:
     def test_derivative_zero_at_steady_state(self, network):
