@@ -75,7 +75,12 @@ environment), and ``REPRO_FABRIC_KILL_AFTER`` is the fault injection
 above.  Like every queue-policy value, the lease timeout must be a
 finite number ``>= 0``; a bad one (``nan``, ``inf``, ``-5``, ``abc``)
 raises :class:`QueueError` instead of being stored or replaced by
-the default.  The in-worker execution backend is
+the default.  ``REPRO_FABRIC_KILL_AFTER`` is unset, empty, ``0`` (off)
+or a whole number ``>= 1``; anything else (``1x``, ``-1``, ``nan``,
+``1.5``) raises :class:`QueueError` before a worker forks or leases,
+so a mistyped fault cannot pass a run that injected nothing.  The
+idle poll interval (``poll_s``, ``repro worker --poll``) must be
+``> 0`` and at most a day.  The in-worker execution backend is
 ``Coordinator(worker_backend=)`` or ``repro worker --backend`` (default
 ``serial``).
 """
@@ -141,8 +146,7 @@ def _policy_value(key: str, value, source: str) -> float:
 def _kill_after() -> int:
     """``REPRO_FABRIC_KILL_AFTER`` checked: unset, empty or ``0`` is
     off (0); anything else must be a whole number >= 1, or a
-    :class:`QueueError` names the variable.  A mistyped fault that
-    silently injected nothing would pass a fault-injection job."""
+    :class:`QueueError` names the variable."""
     value = os.environ.get("REPRO_FABRIC_KILL_AFTER", "")
     if not value:
         return 0
@@ -750,13 +754,9 @@ def run_worker(queue_dir, worker_id: Optional[str] = None,
     ``fault_hook(stage, tasks)`` is called once per batch after each
     stage: ``leased`` with every leased task, then ``computed``,
     ``stored`` and ``done`` with the tasks whose runs succeeded.
-    Raising from it simulates a crash at that point.
-
-    ``poll_s`` must pass :func:`check_poll_interval` and
-    ``max_batches`` be ``None`` or a whole number >= 1
-    (:class:`ValueError` otherwise); a bad ``REPRO_FABRIC_KILL_AFTER``
-    raises :class:`QueueError`.  All three are checked before the
-    queue is opened.
+    Raising from it simulates a crash at that point.  ``poll_s``,
+    ``max_batches`` and ``REPRO_FABRIC_KILL_AFTER`` are checked before
+    the queue is opened.
     """
     from repro.campaign.backends import make_backend
     from repro.experiments.config import ExperimentConfig
