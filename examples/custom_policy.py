@@ -12,7 +12,7 @@ ignoring every safeguard the paper's policy has (no frequency
 consistency check, no cost function, no power condition).  The example
 then shows *why* those safeguards exist by comparing both policies.
 
-Run:  python examples/custom_policy.py        (~30 s)
+Run:  python examples/custom_policy.py
 """
 
 import numpy as np

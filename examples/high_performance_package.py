@@ -7,7 +7,7 @@ the fast package and then demonstrates the paper's closing conclusion —
 "pure software techniques cannot handle fast temperature variations" —
 by sweeping the policy's decision cadence.
 
-Run:  python examples/high_performance_package.py        (~1 min)
+Run:  python examples/high_performance_package.py
 """
 
 from repro import ExperimentConfig, run_experiment

@@ -5,7 +5,7 @@ single table: temperature standard deviation, deadline misses and
 migration traffic for Energy-Balancing, Stop&Go and the thermal
 balancing policy at thresholds of 1-4 C.
 
-Run:  python examples/policy_comparison.py        (~1 min)
+Run:  python examples/policy_comparison.py
 """
 
 from repro import ExperimentConfig, run_experiment

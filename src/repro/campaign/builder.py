@@ -136,8 +136,7 @@ class SystemBuilder:
 
     def build_mpos(self, sim: Simulator, chip) -> MPOS:
         return MPOS(sim, chip, quantum_s=self.config.quantum_s,
-                    strategy=self.build_migration_strategy(),
-                    daemon_period_s=self.config.daemon_period_s)
+                    strategy=self.build_migration_strategy())
 
     def build_workload(self, sim: Simulator, mpos: MPOS,
                        trace: TraceRecorder) -> List[StreamingApplication]:

@@ -42,7 +42,7 @@ THRESHOLD_SWEEP_C = (1.0, 2.0, 3.0, 4.0)
 #: so configs that differ only in these share their policy-off warm-up
 #: (see :meth:`ExperimentConfig.warmup_key`).
 POLICY_ONLY_FIELDS = ("policy", "threshold_c", "top_k", "max_from_hot",
-                      "max_from_dst")
+                      "max_from_dst", "daemon_period_s")
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class ExperimentConfig:
     quantum_s: float = 0.001
     sensor_period_s: float = 0.01
     sensor_noise_c: float = 0.0               # Gaussian sigma on readings
-    daemon_period_s: float = 0.1
+    daemon_period_s: float = 0.1              # MiGra's decision cadence
     migration_strategy: str = "replication"   # or "recreation"
 
     # Policy tuning knobs (Migra phase-2 search bounds).
@@ -150,8 +150,18 @@ class ExperimentConfig:
         if not 0 < self.load_duty <= 1:
             raise ValueError(f"load_duty must lie in (0, 1], got "
                              f"{self.load_duty!r}")
-        if self.n_cores < 1:
-            raise ValueError(f"n_cores must be >= 1, got {self.n_cores!r}")
+        # The minima the components enforce, checked here so that a bad
+        # config fails before anything is built, run or enqueued.
+        for name, least in _INT_MINIMA:
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got "
+                                 f"{getattr(self, name)!r}")
+        # After the per-field checks, so a bad period is named as such.
+        # A window shorter than one sensor period can hold no sample.
+        if self.measure_s < self.sensor_period_s:
+            raise ValueError(f"measure_s must be at least one "
+                             f"sensor_period_s ({self.sensor_period_s!r}), "
+                             f"got {self.measure_s!r}")
         # -0.0 == 0.0, so the two spellings are one config as well.
         for name in _ZERO_VALID_FIELDS:
             if getattr(self, name) == 0:
@@ -274,9 +284,9 @@ class ExperimentConfig:
         is enabled it does nothing, so runs with equal keys simulate a
         bit-identical warm-up, which the runner simulates once and
         forks (see :func:`repro.experiments.runner.run_batch`).
-        ``daemon_period_s``, the ``panic_*`` fields and ``measure_s``
-        stay in the key: the OS daemons, the panic guard and deferred
-        app arrivals read them during the warm-up.
+        The ``panic_*`` fields and ``measure_s`` stay in the key: the
+        panic guard and deferred app arrivals read them during the
+        warm-up.  ``daemon_period_s`` does not: only MiGra reads it.
         """
         return tuple((name, getattr(self, name)) for name in _FIELD_NAMES
                      if name not in POLICY_ONLY_FIELDS)
@@ -312,6 +322,11 @@ _FIELD_SET = frozenset(_FIELD_NAMES)
 _FIELD_TYPES = tuple({kind.__name__: kind for kind in _TYPE_NAMES}[f.type]
                      for f in fields(ExperimentConfig))
 _field_values = operator.attrgetter(*_FIELD_NAMES)
+
+#: ``(field, least value)`` of the int fields with a lower bound.
+_INT_MINIMA = (("n_cores", 1), ("n_bands", 1), ("queue_capacity", 1),
+               ("sink_start_delay_frames", 0), ("top_k", 1),
+               ("max_from_hot", 1), ("max_from_dst", 0))
 
 #: The float fields whose valid range includes zero (and so -0.0).
 _ZERO_VALID_FIELDS = ("warmup_s", "sensor_noise_c", "load_jitter",

@@ -63,7 +63,7 @@ def table2(settle_s: float = 1.0) -> TableResult:
     """Application mapping: task loads at the governor-chosen frequency.
 
     Builds the full system, lets it run ``settle_s`` of simulated time
-    (so DVFS and the daemons settle) and reports the observed mapping.
+    (so the DVFS governor settles) and reports the observed mapping.
     """
     config = ExperimentConfig(policy="energy", warmup_s=settle_s,
                               measure_s=1.0, trace_enabled=False)

@@ -3,8 +3,9 @@
 Models the software stack of Fig. 3b: one OS instance per core (a
 round-robin scheduler over the tasks mapped there), message-passing
 queues through shared memory, a DVFS governor, and the migration
-middleware — master/slave daemons, checkpoint-based freezing, and the
-task-replication / task-recreation strategies whose costs Fig. 2 plots.
+middleware — checkpoint-based freezing, and the task-replication /
+task-recreation strategies whose costs Fig. 2 plots (the master/slave
+daemon handshake is part of their overhead cycles).
 """
 
 from repro.mpos.task import StreamTask, TaskPhase, TaskState
@@ -19,25 +20,20 @@ from repro.mpos.migration import (
     TaskRecreation,
     TaskReplication,
 )
-from repro.mpos.daemons import MasterDaemon, SlaveDaemon, StatsBoard, TaskStat
 from repro.mpos.system import MPOS
 
 __all__ = [
     "CoreScheduler",
     "DVFSGovernor",
     "MPOS",
-    "MasterDaemon",
     "MigrationEngine",
     "MigrationPlan",
     "MigrationRecord",
     "MigrationStrategy",
     "MsgQueue",
-    "SlaveDaemon",
-    "StatsBoard",
     "StreamTask",
     "TaskPhase",
     "TaskRecreation",
     "TaskReplication",
-    "TaskStat",
     "TaskState",
 ]

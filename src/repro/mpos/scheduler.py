@@ -79,20 +79,20 @@ SLICE_EVENT_CATEGORY = "slice"
 #:   invariant inside a window (tasks push/pop only at completions,
 #:   which terminate windows), and the only path from a queue back to
 #:   a scheduler is the wake-up callbacks, which run ``_make_ready``
-#:   and therefore unwind;
-#: * ``"daemon"`` — the per-core statistics ticks
-#:   (``repro.mpos.daemons``) read live ``total_cycles``, so they
-#:   call :meth:`CoreScheduler.materialize` before reading.
+#:   and therefore unwind.
 #:
-#: All four periodic classes are rescheduled one full period (>> one
-#: quantum) ahead, so at an exact timestamp tie the legacy engine
-#: fires them *before* the slice event — the tie rules in
+#: None of them reads the counters a window defers
+#: (``total_cycles``, ``remaining_cycles``), so none needs
+#: :meth:`CoreScheduler.materialize` first.  All three periodic
+#: classes are rescheduled one full period (>> one quantum) ahead, so
+#: at an exact timestamp tie the legacy engine fires them *before*
+#: the slice event — the tie rules in
 #: :meth:`CoreScheduler._uncoalesce` and the window-end deferral in
 #: :meth:`CoreScheduler._end_coalesced` reproduce that order.
 #: Migration and load-modulation events — aperiodic, mutating tasks on
 #: their own clock — keep bounding the horizon.
 HORIZON_TRANSPARENT_CATEGORIES = (SLICE_EVENT_CATEGORY, "sensor",
-                                  "source", "sink", "daemon")
+                                  "source", "sink")
 
 
 FreezeCallback = Callable[[StreamTask], None]
@@ -266,9 +266,10 @@ class CoreScheduler:
         """Replay any open coalesced window up to ``sim.now``.
 
         An open window defers per-quantum accounting to its window
-        event, so external readers of live task state — the per-core
-        statistics daemons, differential tests — call this first to
-        land the deferred boundaries.  A no-op when no window is open.
+        event, so external readers of live task state — the end of a
+        measured run (:func:`repro.experiments.runner.finalize_run`),
+        differential tests — call this first to land the deferred
+        boundaries.  A no-op when no window is open.
         """
         self._uncoalesce()
 

@@ -1,16 +1,15 @@
 """The MPOS facade: one object tying the OS layer together.
 
-Owns the per-core schedulers, the DVFS governor, the migration engine,
-the daemons and the task-to-core mapping, and routes queue wake-ups to
-the right core's scheduler.  Policies and applications talk to this
-object rather than to the parts.
+Owns the per-core schedulers, the DVFS governor, the migration engine
+and the task-to-core mapping, and routes queue wake-ups to the right
+core's scheduler.  Policies and applications talk to this object
+rather than to the parts.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.mpos.daemons import MasterDaemon, SlaveDaemon, StatsBoard
 from repro.mpos.dvfs import DVFSGovernor
 from repro.mpos.migration import MigrationEngine, MigrationStrategy, \
     TaskReplication
@@ -33,8 +32,6 @@ class MPOS:
     strategy:
         Migration mechanism (defaults to task-replication, the one the
         paper's platform actually uses).
-    daemon_period_s:
-        Statistics publication period of the slave daemons.
     dvfs_margin:
         Headroom for the DVFS governor.
     """
@@ -42,7 +39,6 @@ class MPOS:
     def __init__(self, sim: Simulator, chip: Chip,
                  quantum_s: float = 0.001,
                  strategy: Optional[MigrationStrategy] = None,
-                 daemon_period_s: float = 0.1,
                  dvfs_margin: float = 0.0):
         self.sim = sim
         self.chip = chip
@@ -53,11 +49,6 @@ class MPOS:
         self._mapping: Dict[str, int] = {}
         self.governor = DVFSGovernor(self, margin=dvfs_margin)
         self.engine = MigrationEngine(self, strategy or TaskReplication())
-        self.board = StatsBoard()
-        self.slave_daemons = [
-            SlaveDaemon(self, i, self.board, daemon_period_s)
-            for i in range(chip.n_tiles)]
-        self.master_daemon = MasterDaemon(self, self.board)
 
     # ------------------------------------------------------------------
     # task mapping

@@ -86,14 +86,14 @@ class MigraThermalBalancer(ThermalPolicy):
         Largest task-set sizes moved from the hot side and returned from
         the cold side in one exchange.
     eval_period_s:
-        Decision cadence.  Sensor updates arrive every 10 ms, but the
-        decision runs in the *master daemon*, which works from the
-        periodically published slave statistics (Sec. 3.2) — so plans
-        are issued at the daemon period.  On the slow mobile package
-        this is invisible (thermal constants are ~2 s); on the 6x
-        faster high-performance package the lag is what makes the
-        policy "oscillate more than Stop&Go" at small thresholds
-        (Sec. 5.2).
+        Decision cadence: the period of the paper's *master daemon*,
+        which decides from statistics the slave daemons publish
+        periodically (Sec. 3.2), while sensors update every 10 ms.
+        Plans here use each task's nominal ``demand_hz``.  On the slow
+        mobile package the cadence is invisible (thermal constants are
+        ~2 s); on the 6x faster high-performance package the lag is
+        what makes the policy "oscillate more than Stop&Go" at small
+        thresholds (Sec. 5.2).
     """
 
     name = "migra"

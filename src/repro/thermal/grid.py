@@ -27,6 +27,12 @@ from repro.platform.floorplan import Floorplan
 from repro.thermal.package import ThermalPackageParams
 from repro.thermal.rc_network import PACKAGE_NODE, RCNetwork
 
+#: Most cells a grid may have.  The network is a dense (cells + 1)^2
+#: conductance matrix: 128 MB at 4,000 cells, with a steady-state
+#: solve of about half a second; ``cell_mm=0.02`` on the preset die
+#: (72,000 cells) would need 41 GB.
+MAX_GRID_CELLS = 4_000
+
 
 @dataclass(frozen=True)
 class GridCell:
@@ -67,8 +73,15 @@ class GridThermalModel:
         self.params = params
         self.cell_mm = float(cell_mm)
         bbox = floorplan.bounding_box
-        self.nx = max(1, int(round(bbox.w / cell_mm)))
-        self.ny = max(1, int(round(bbox.h / cell_mm)))
+        across, up = bbox.w / cell_mm, bbox.h / cell_mm
+        # Counted before anything is allocated; a subnormal cell size
+        # gives an infinite ratio, which ``round`` rejects.
+        n_cells = (max(1, round(across)) * max(1, round(up))
+                   if across * up < math.inf else math.inf)
+        if n_cells > MAX_GRID_CELLS:
+            raise ValueError(f"cell_mm={cell_mm!r} gives {n_cells:,} grid "
+                             f"cells; the budget is {MAX_GRID_CELLS:,}")
+        self.nx, self.ny = max(1, round(across)), max(1, round(up))
         self._block_index = {n: i for i, n in enumerate(self.block_names)}
 
         self.cells: List[GridCell] = []

@@ -570,6 +570,20 @@ class TestFabricCommands:
         assert capsys.readouterr().err.startswith(
             "error: REPRO_FABRIC_LEASE_S must be a finite number >= 0")
 
+    def test_distributed_run_with_a_short_window_is_exit_2(
+            self, capsys, tmp_path):
+        # Each config failed all 3 attempts after its warm-up, and the
+        # run ended in a FabricError traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "smoke", "--backend", "distributed",
+                  "--warmup", "0.1", "--measure", "1e-9",
+                  "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: measure_s must be at least one "
+                              "sensor_period_s") and "Traceback" not in err
+        assert not (tmp_path / "queue").exists()
+
     # -- idle poll, batch limit and fault injection -----------------
     def _held_queue(self, tmp_path):
         """A queue whose only pending work another worker holds, so a
@@ -710,15 +724,23 @@ class TestBadPhases:
     @pytest.mark.parametrize("argv", [
         ["run", "--warmup", "nan"],
         ["run", "--measure", "inf"],
+        # A window shorter than one sensor period holds no temperature
+        # sample: each ended in a traceback after the warm-up.
+        ["campaign", "smoke", "--warmup", "0.1", "--measure", "1e-9"],
+        ["sweep", "--measure", "1e-9"],
+        ["fig7", "--measure", "1e-9"],
+        ["ablation", "top-k", "--measure", "1e-9"],
+        ["baseline", "record", "smoke", "--measure", "1e-9"],
     ])
-    def test_run_exits_2_without_simulating(self, argv):
-        # Both used to hang: NaN and infinity passed the phase checks
-        # and the run never reached its end time.
+    def test_run_exits_2_without_simulating(self, argv, tmp_path):
+        # The first two used to hang: NaN and infinity passed the phase
+        # checks and the run never reached its end time.  In tmp_path,
+        # `baseline record` finds no golden to refuse to overwrite.
         env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep
                    + os.environ.get("PYTHONPATH", ""))
         done = subprocess.run([sys.executable, "-m", "repro", *argv],
                               env=env, capture_output=True, text=True,
-                              timeout=30)
+                              timeout=30, cwd=tmp_path)
         assert done.returncode == 2
         assert "error:" in done.stderr and "Traceback" not in done.stderr
 
@@ -828,6 +850,8 @@ class TestBadCoresAndCells:
         ["thermal-map", "--cell", "-1"],
         ["thermal-map", "--cell", "nan"],
         ["thermal-map", "--cell", "inf"],
+        # A 72,000-cell grid: a 41 GB dense conductance matrix.
+        ["thermal-map", "--cell", "0.02"],
     ])
     def test_exits_2_with_a_clean_error(self, argv, capsys):
         # Each used to end in a ValueError traceback; `--cell nan` got

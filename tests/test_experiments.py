@@ -109,6 +109,12 @@ class TestConfig:
         ("panic_temp_c", -float("inf")),
         ("sensor_noise_c", float("nan")), ("sensor_noise_c", -0.1),
         ("sensor_noise_c", float("inf")),
+        # Each failed only once built: in the system, in the policy or,
+        # for the window, in the metrics after the run.
+        ("n_bands", 0), ("queue_capacity", 0),
+        ("sink_start_delay_frames", -1), ("top_k", 0),
+        ("max_from_hot", 0), ("max_from_dst", -1),
+        ("measure_s", 1e-9), ("measure_s", 0.009),
     ])
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -221,13 +227,18 @@ class TestWarmupKey:
         other = base.variant(policy="stopgo", threshold_c=1.0, top_k=1,
                              max_from_hot=1, max_from_dst=2)
         assert other.warmup_key() == base.warmup_key()
+        # MiGra's decision cadence is read only by its policy.
+        assert base.variant(daemon_period_s=0.2).warmup_key() \
+            == base.warmup_key()
 
     @pytest.mark.parametrize("change", [
         dict(seed=1), dict(package="highperf"), dict(solver="euler"),
-        # Read during the warm-up: the MPOS daemons, the panic guard,
-        # and deferred app arrivals scheduled from measure_s.
-        dict(daemon_period_s=0.2), dict(panic_guard=False),
+        # Read during the warm-up: the panic guard, and deferred app
+        # arrivals scheduled from measure_s.
+        dict(panic_guard=False),
         dict(panic_temp_c=80.0), dict(measure_s=10.0),
+        # The sensors sample through the warm-up too.
+        dict(sensor_noise_c=0.5),
     ])
     def test_other_fields_split_the_key(self, change):
         base = ExperimentConfig()
@@ -262,6 +273,16 @@ class TestRunner:
         assert len(sut.app.tasks) == 6
         assert sut.policy.mpos is sut.mpos
         assert sut.guard is not None
+
+    @pytest.mark.parametrize("warmup_s", [0.0, 0.1, 2.0, 12.5])
+    def test_one_sensor_period_window_is_sampled(self, warmup_s):
+        # The shortest window construction accepts still holds a
+        # temperature sample, wherever the sensor ticks fall.
+        cfg = ExperimentConfig(policy="energy", warmup_s=warmup_s,
+                               measure_s=0.01, sensor_period_s=0.01)
+        result = run_experiment(cfg)
+        assert result.system.trace.window("temp.core0", cfg.warmup_s,
+                                          cfg.t_end)
 
     def test_policy_disabled_during_warmup(self):
         cfg = ExperimentConfig(policy="migra", **SHORT)

@@ -84,6 +84,21 @@ def test_any_batch_equals_fresh_runs(picks):
     assert [r.to_dict() for r in run_lockstep_group(configs)] == expected
 
 
+def test_decision_cadence_shares_a_warmup():
+    # ``daemon_period_s`` is MiGra's decision cadence, read only by its
+    # policy: configs that differ only in it share one warm-up, and
+    # each fork still runs its own cadence.
+    configs = [ExperimentConfig(policy=p, daemon_period_s=period,
+                                threshold_c=1.0, warmup_s=2.0,
+                                measure_s=1.0)
+               for p in ("migra", "energy") for period in (0.05, 0.1, 0.2)]
+    assert len(warmup_groups(configs)) == 1
+    expected = [fresh(c) for c in configs]
+    assert len({str(r) for r in expected[:3]}) == 3
+    assert [r.to_dict() for r in run_batch(configs)] == expected
+    assert [r.to_dict() for r in run_lockstep_group(configs)] == expected
+
+
 # ----------------------------------------------------------------------
 # opt-outs: runs that must not share a warm-up
 # ----------------------------------------------------------------------

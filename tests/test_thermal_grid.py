@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.platform.presets import build_floorplan
-from repro.thermal.grid import GridThermalModel, render_ascii_map
+from repro.thermal.grid import (MAX_GRID_CELLS, GridThermalModel,
+                                render_ascii_map)
 from repro.thermal.package import MOBILE_EMBEDDED
 from repro.thermal.rc_network import build_network
 
@@ -67,6 +68,17 @@ class TestConstruction:
                                match="cell_mm must be a finite number > 0"):
                 GridThermalModel(floorplan, names, MOBILE_EMBEDDED,
                                  cell_mm=cell_mm)
+
+    @pytest.mark.parametrize("cell_mm, cells", [
+        (0.05, "11,520"), (0.02, "72,000"), (1e-300, "inf")])
+    def test_grid_above_the_cell_budget_rejected(self, floorplan, names,
+                                                 cell_mm, cells):
+        # The dense conductance matrix alone would take 1 GB at 0.05
+        # and 41 GB at 0.02; at 1e-300 the count overflows a float.
+        with pytest.raises(ValueError, match=f"gives {cells} grid cells; "
+                           f"the budget is {MAX_GRID_CELLS:,}"):
+            GridThermalModel(floorplan, names, MOBILE_EMBEDDED,
+                             cell_mm=cell_mm)
 
     def test_bad_power_vector_rejected(self, grid):
         with pytest.raises(ValueError):
